@@ -17,7 +17,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
 from .exactalg import (
     GaussianRational as Qi,
@@ -31,7 +30,13 @@ from .exactalg import (
 )
 from .liesym import catalog, catalog_pair, load_pair
 from .rootsys import SpectrumError, restricted_roots, weyl_group
-from .invariants import build_chart, gradient, local_chart, reynolds
+from .invariants import (
+    build_chart,
+    gradient,
+    is_invariant,
+    local_chart,
+    reynolds,
+)
 from .example93 import (
     control_flipped_involution,
     control_offaxis_v,
@@ -51,6 +56,7 @@ from .vecfields import (
     jet_unit,
     jet_gradient_action,
     lift_derivation,
+    reynolds_field,
     solomon_decompose,
     transition_matrix,
 )
@@ -160,6 +166,8 @@ def _pair_from_args(args):
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise InputError(f"pair file is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise InputError("pair file must hold a JSON object")
         return _guard(load_pair, doc)
     raise InputError("a pair is required: pass --pair NAME or --pair-file PATH")
 
@@ -204,23 +212,9 @@ def _random_poly(rng, nvars, max_deg):
     return MultiPoly(nvars, terms)
 
 
-def _average_field(components, weyl):
-    # push the field around the group; the mean is invariant
-    n = weyl.dim
-    acc = [MultiPoly.zero(n) for _ in range(n)]
-    for w in weyl.elements:
-        winv = mat_inverse(w)
-        moved = [c.compose_linear(winv) for c in components]
-        for i in range(n):
-            for j in range(n):
-                acc[i] = acc[i] + w[i][j] * moved[j]
-    scale = Qi(Fraction(1, weyl.order))
-    return PolyVectorField([c * scale for c in acc])
-
-
 def _random_invariant_field(rng, weyl, max_deg):
     comps = [_random_poly(rng, weyl.dim, max_deg) for _ in range(weyl.dim)]
-    return _average_field(comps, weyl)
+    return reynolds_field(weyl, PolyVectorField(comps))
 
 
 def _slice_points(chart, name):
@@ -292,12 +286,7 @@ def _slice_checks(chart, point):
         return loc, None, checks
 
     n = chart.weyl.dim
-    inv_ok = all(
-        m[i][j].compose_linear(w) == m[i][j]
-        for i in range(n)
-        for j in range(n)
-        for w in loc.weyl.elements
-    )
+    inv_ok = all(is_invariant(e, loc.weyl) for row in m for e in row)
     checks.append(("transition_entries_invariant", inv_ok, None if inv_ok else {}))
 
     recon_ok = True

@@ -108,9 +108,6 @@ class GaussianRational:
     def is_zero(self):
         return self.real == 0 and self.imag == 0
 
-    def conjugate(self):
-        return GaussianRational(self.real, -self.imag)
-
     def sort_key(self):
         return (self.real, self.imag)
 
@@ -152,16 +149,19 @@ def parse_scalar(text: str) -> GaussianRational:
     for t in terms:
         if not t or t in "+-":
             raise ValueError(f"bad scalar {text!r}")
-        if t.endswith("i"):
-            body = t[:-1]
-            if body in ("", "+"):
-                imag += 1
-            elif body == "-":
-                imag -= 1
+        try:
+            if t.endswith("i"):
+                body = t[:-1]
+                if body in ("", "+"):
+                    imag += 1
+                elif body == "-":
+                    imag -= 1
+                else:
+                    imag += Fraction(body)
             else:
-                imag += Fraction(body)
-        else:
-            real += Fraction(t)
+                real += Fraction(t)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {text!r}") from None
     return GaussianRational(real, imag)
 
 

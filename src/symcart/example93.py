@@ -16,6 +16,7 @@ from .exactalg import (
     mat_inverse,
     mat_mul,
     mat_rank,
+    mat_transpose,
     matrix_min_poly,
     univ_is_squarefree,
 )
@@ -62,11 +63,6 @@ MC_WITNESSES = [
 ]
 
 # fixed space of the real centralizer inside q, parameters (x, y, z)
-QM_BASIS = [
-    _m([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
-    _m([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
-    _m([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
-]
 QM_SHAPE = "{{x,0,y},{0,z,0},{-y,0,-(x+z)}}"
 
 V_MATRIX = _m([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
@@ -89,10 +85,6 @@ def example93_data():
     )
 
 
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def _trace(m):
     return sum((m[i][i] for i in range(3)), Qi(0))
 
@@ -102,7 +94,7 @@ def _flat(m):
 
 
 def _sigma(a):
-    out = mat_mul(I21, mat_mul(_transpose(a), I21))
+    out = mat_mul(I21, mat_mul(mat_transpose(a), I21))
     return [[-x for x in row] for row in out]
 
 
@@ -177,7 +169,7 @@ def _check_cartan():
 def _check_witnesses(metric):
     for idx, g in enumerate(MC_WITNESSES):
         ginv = mat_inverse(g)
-        fixed = mat_mul(metric, mat_mul(_transpose(ginv), metric))
+        fixed = mat_mul(metric, mat_mul(mat_transpose(ginv), metric))
         if fixed != g:
             return False, "witness %d is not a fixed point of the involution" % idx
         if mat_det(g) != Qi(1):

@@ -32,6 +32,18 @@ def reynolds(weyl, f):
     return acc * Qi(Fraction(1, weyl.order))
 
 
+def is_invariant(f, weyl):
+    """Whether f(w x) = f(x) for every element w of the group.
+
+    Testing the generators is enough.  If f is fixed by g and by h then
+    f((gh) x) = f(g (h x)) = f(h x) = f(x), and every `WeylGroup` in the
+    package has `elements` equal to the closure of `generators`:
+    `weyl_group` builds the elements by breadth-first search over the
+    generators, and `local_chart` conjugates both lists by one frame.
+    """
+    return all(f.compose_linear(g) == f for g in weyl.generators)
+
+
 def monomials_of_degree(num_vars, d):
     """All exponent tuples of total degree d, ascending grevlex."""
     out = []
@@ -48,22 +60,54 @@ def monomials_of_degree(num_vars, d):
     return out
 
 
-def _weighted_products(gens, degrees, d, num_vars):
-    # every product of adopted generators whose weighted degree is exactly d
+def _weighted_exponents(degrees, total):
+    # exponent tuples e with sum(e_i * degrees_i) == total
     out = []
 
     def rec(i, remaining, acc):
-        if remaining == 0:
-            out.append(acc)
+        if i == len(degrees):
+            if remaining == 0:
+                out.append(tuple(acc))
             return
-        if i == len(gens):
-            return
-        rec(i + 1, remaining, acc)
-        if degrees[i] <= remaining:
-            rec(i, remaining - degrees[i], acc * gens[i])
+        k = 0
+        while k * degrees[i] <= remaining:
+            rec(i + 1, remaining - k * degrees[i], acc + [k])
+            k += 1
 
-    rec(0, d, MultiPoly.one(num_vars))
+    rec(0, total, [])
     return out
+
+
+def _weighted_products(gens, degrees, d, num_vars):
+    # (e, prod gens_i^e_i) for every product of weighted degree exactly d
+    out = []
+    for e in _weighted_exponents(degrees, d):
+        p = MultiPoly.one(num_vars)
+        for g, k in zip(gens, e):
+            if k:
+                p = p * g**k
+        out.append((e, p))
+    return out
+
+
+def invariant_basis(weyl, d):
+    """Basis of the degree-d invariants: the independent Reynolds images
+    of the degree-d monomials, scanned in ascending grevlex order.
+
+    Built once per group and degree, and kept in `weyl.invariant_bases`.
+    """
+    basis = weyl.invariant_bases.get(d)
+    if basis is None:
+        n = weyl.dim
+        monos = monomials_of_degree(n, d)
+        span = LinearSpan(len(monos))
+        basis = []
+        for e in monos:
+            img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
+            if span.add(img.coefficient_vector(monos)):
+                basis.append(img)
+        weyl.invariant_bases[d] = basis
+    return basis
 
 
 def invariant_generators(weyl):
@@ -71,8 +115,10 @@ def invariant_generators(weyl):
 
     Monomial averages are scanned in ascending grevlex order; an average
     is adopted when it is new modulo products of the generators already
-    found.  The result is certified by the degree product against the
-    group order and by a nonvanishing Jacobian.
+    found and the averages before it.  Averages that depend on earlier
+    ones never change that span, so scanning the invariant basis adopts
+    the same generators.  The result is certified by the degree product
+    against the group order and by a nonvanishing Jacobian.
     """
     n = weyl.dim
     adopted = []
@@ -81,12 +127,9 @@ def invariant_generators(weyl):
     for d in range(1, cap + 1):
         monos = monomials_of_degree(n, d)
         span = LinearSpan(len(monos))
-        for prod in _weighted_products(adopted, degrees, d, n):
+        for _, prod in _weighted_products(adopted, degrees, d, n):
             span.add(prod.coefficient_vector(monos))
-        for e in monos:
-            img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
-            if img.is_zero():
-                continue
+        for img in invariant_basis(weyl, d):
             if not span.add(img.coefficient_vector(monos)):
                 continue
             _, lc = img.leading_term()
@@ -227,8 +270,8 @@ def build_chart(pair, seed=0):
     weyl = weyl_group(system, K)
     generators, degrees = invariant_generators(weyl)
     phi = phi_from_roots(system)
-    for w in weyl.elements:
-        assert phi.compose_linear(w) == phi, "root product is not invariant"
+    if not is_invariant(phi, weyl):
+        raise RuntimeError("internal error: root product is not invariant")
     gradients = [gradient(p, K) for p in generators]
     A, adj, det, c = _gram(generators, gradients, phi)
     return InvariantChart(
@@ -273,9 +316,8 @@ def local_chart(roots, weyl, chart, a_point):
     local_u = [g.compose(urows[:r]) for g in bgens]
     local_u.extend(urows[r:])
     degrees = list(bdegs) + [1] * (n - r)
-    for f in local_u:
-        for w in W_a.elements:
-            assert f.compose_linear(w) == f, "local generator not invariant"
+    if not all(is_invariant(f, W_a) for f in local_u):
+        raise RuntimeError("internal error: local generator not invariant")
 
     neg = [-x for x in pt]
     local_x = [f.shift(neg) for f in local_u]

@@ -18,6 +18,7 @@ from .exactalg import (
     Qi,
     kernel_basis,
     mat_det,
+    mat_identity,
     mat_mul,
     mat_vec,
     matrix_min_poly,
@@ -168,7 +169,7 @@ class SymmetricPair:
         if len(self.kappa) != n or any(len(r) != n for r in self.kappa):
             raise ValueError("kappa matrix has the wrong shape")
 
-        if mat_mul(self.sigma, self.sigma) != _identity(n):
+        if mat_mul(self.sigma, self.sigma) != mat_identity(n):
             raise ValueError("sigma squared is not the identity")
 
         self.h_basis = []
@@ -251,10 +252,6 @@ class SymmetricPair:
         if self.cartan is None:
             raise ValueError("pair has no Cartan subspace attached")
         return self.gram(self.cartan.basis)
-
-
-def _identity(n):
-    return [[Qi(1) if i == j else Qi(0) for j in range(n)] for i in range(n)]
 
 
 def _min_poly_of_ad(pair, point):
@@ -482,6 +479,10 @@ def load_pair(definition):
         sigma = definition["sigma"]
     except KeyError as e:
         raise ValueError(f"pair definition is missing key {e.args[0]!r}") from None
+    except TypeError:
+        raise ValueError(
+            f"pair definition dim must be an integer, not {definition['dim']!r}"
+        ) from None
     name = definition.get("name", "")
 
     c = [[[Qi(0)] * dim for _ in range(dim)] for _ in range(dim)]

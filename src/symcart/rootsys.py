@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 
 from .exactalg import (
-    GaussianRational,
     LinearSpan,
     Qi,
     gaussian_rational_roots,
@@ -24,24 +23,11 @@ from .exactalg import (
     matrix_min_poly,
     univ_is_squarefree,
 )
+from .liesym import _vec
 
 
 class SpectrumError(ValueError):
     """The restricted-root spectrum does not split over Q(i)."""
-
-
-def _scalar(x):
-    if isinstance(x, GaussianRational):
-        return x
-    from .exactalg import parse_scalar
-
-    if isinstance(x, str):
-        return parse_scalar(x)
-    return GaussianRational(x)
-
-
-def _vec(v):
-    return [_scalar(x) for x in v]
 
 
 def _mat_key(m):
@@ -72,6 +58,8 @@ class WeylGroup:
         self.order = len(elements)
         self.kappa_on_a = kappa_on_a
         self._keys = {_mat_key(m) for m in elements}
+        # degree -> invariant basis, filled by invariants.invariant_basis
+        self.invariant_bases = {}
 
     def contains(self, m):
         return _mat_key(m) in self._keys

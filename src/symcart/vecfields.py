@@ -7,16 +7,22 @@ and a truncated graded jet algebra with the gradient action.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactalg import (
     GaussianRational,
-    LinearSpan,
     MultiPoly,
     det_adjugate,
     mat_inverse,
     solve_exact,
 )
-from .invariants import gradient, monomials_of_degree, reynolds
+from .invariants import (
+    _weighted_products,
+    gradient,
+    invariant_basis,
+    is_invariant,
+    monomials_of_degree,
+)
 
 Qi = GaussianRational
 
@@ -87,9 +93,8 @@ class InvariantDerivation:
     def __init__(self, images, weyl=None):
         self.images = list(images)
         if weyl is not None:
-            for img in self.images:
-                if reynolds(weyl, img) != img:
-                    raise ValueError("derivation image is not invariant")
+            if not all(is_invariant(img, weyl) for img in self.images):
+                raise ValueError("derivation image is not invariant")
 
 
 @dataclass
@@ -101,34 +106,35 @@ class NotLiftable:
     remainder: MultiPoly
 
 
+def _push(w, X):
+    # the field w . X(w^{-1} x)
+    n = X.dim
+    winv = mat_inverse(w)
+    moved = [c.compose_linear(winv) for c in X.components]
+    return PolyVectorField(
+        [
+            sum((w[i][j] * moved[j] for j in range(n)), MultiPoly.zero(n))
+            for i in range(n)
+        ]
+    )
+
+
 def is_invariant_field(X, weyl):
-    """Exact check of w . X(w^{-1} x) = X(x) for every group element."""
+    """Exact check of w . X(w^{-1} x) = X(x) for every group element.
+
+    Pushing forward is a group action, so the generators suffice, as in
+    `invariants.is_invariant`.
+    """
+    return all(_push(g, X) == X for g in weyl.generators)
+
+
+def reynolds_field(weyl, X):
+    """Group average of the pushed-forward field, the exact projector
+    onto invariant fields."""
+    acc = PolyVectorField.zero(X.dim)
     for w in weyl.elements:
-        winv = mat_inverse(w)
-        moved = [c.compose_linear(winv) for c in X.components]
-        for i in range(X.dim):
-            pushed = MultiPoly.zero(X.dim)
-            for j in range(X.dim):
-                pushed = pushed + w[i][j] * moved[j]
-            if pushed != X.components[i]:
-                return False
-    return True
-
-
-def _invariant_basis(weyl, n, k, cache):
-    # basis of the degree-k invariant polynomials, built by averaging
-    if k not in cache:
-        monos = monomials_of_degree(n, k)
-        span = LinearSpan(len(monos))
-        polys = []
-        for e in monos:
-            avg = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
-            if avg.is_zero():
-                continue
-            if span.add(avg.coefficient_vector(monos)):
-                polys.append(avg)
-        cache[k] = polys
-    return cache[k]
+        acc = acc + _push(w, X)
+    return acc * Qi(Fraction(1, weyl.order))
 
 
 def solomon_decompose(X, chart, weyl):
@@ -151,7 +157,6 @@ def solomon_decompose(X, chart, weyl):
     degs = chart.degrees
     ell = len(degs)
     R_u = [MultiPoly.zero(n) for _ in range(ell)]
-    cache = {}
     present = sorted({d for c in comp_u for d in c.homogeneous_components()})
     for d in present:
         targets = [
@@ -163,7 +168,7 @@ def solomon_decompose(X, chart, weyl):
             k = d - degs[j] + 1
             if k < 0:
                 continue
-            for b in _invariant_basis(weyl, n, k, cache):
+            for b in invariant_basis(weyl, k):
                 cols.append((j, b))
         monos = monomials_of_degree(n, d)
         rhs = []
@@ -228,44 +233,22 @@ def _check_images(D, chart):
     for img in D.images:
         if img.num_vars != chart.weyl.dim:
             raise ValueError("image variable count does not match the chart")
-        if reynolds(chart.weyl, img) != img:
+        if not is_invariant(img, chart.weyl):
             raise ValueError("derivation image is not invariant")
-
-
-def _weighted_exponents(degrees, total):
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        k = 0
-        while k * degrees[i] <= remaining:
-            rec(i + 1, remaining - k * degrees[i], acc + [k])
-            k += 1
-
-    rec(0, total, [])
-    return out
 
 
 def _phi_in_generators(chart):
     # exact subalgebra membership: phi as a polynomial in p_1..p_l
     phi = chart.phi
     gens = chart.generators
-    exps = _weighted_exponents(chart.degrees, phi.degree())
-    basis = []
-    for e in exps:
-        p = MultiPoly.one(chart.weyl.dim)
-        for g, k in zip(gens, e):
-            if k:
-                p = p * g**k
-        basis.append(p)
+    products = _weighted_products(
+        gens, chart.degrees, phi.degree(), chart.weyl.dim
+    )
     monos = set(phi.terms)
-    for p in basis:
+    for _, p in products:
         monos.update(p.terms)
     monos = sorted(monos)
-    A = [[p.terms.get(m, Qi(0)) for p in basis] for m in monos]
+    A = [[p.terms.get(m, Qi(0)) for _, p in products] for m in monos]
     rhs = [phi.terms.get(m, Qi(0)) for m in monos]
     sol = solve_exact(A, rhs)
     if sol.particular is None:
@@ -274,7 +257,9 @@ def _phi_in_generators(chart):
             "generators"
         )
     assert not sol.kernel, "generator products are dependent"
-    return {e: c for e, c in zip(exps, sol.particular) if not c.is_zero()}
+    return {
+        e: c for (e, _), c in zip(products, sol.particular) if not c.is_zero()
+    }
 
 
 def ideal_stable(D, chart):
@@ -337,8 +322,8 @@ def lift_derivation(D, chart):
     X = field_from_coefficients(phis, chart)
     for img, p in zip(D.images, chart.generators):
         assert X.apply_to(p) == img, "lift does not reconstruct the images"
-    for f in phis:
-        assert reynolds(chart.weyl, f) == f
+    if not all(is_invariant(f, chart.weyl) for f in phis):
+        raise RuntimeError("internal error: lift coefficient is not invariant")
     return phis
 
 

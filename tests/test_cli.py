@@ -297,6 +297,29 @@ def test_malformed_inputs_are_input_errors(capsys, tmp_path):
     bad.write_text("{")
     code, report = run_json(["phi", "--pair-file", str(bad)], capsys)
     assert code == 3
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    code, report = run_json(["phi", "--pair-file", str(not_object)], capsys)
+    assert code == 3
+    assert "object" in report["error"]["message"]
+    null_dim = tmp_path / "null_dim.json"
+    null_dim.write_text(json.dumps(dict(SL2_DOC, dim=None)))
+    code, report = run_json(["phi", "--pair-file", str(null_dim)], capsys)
+    assert code == 3
+    assert "dim" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slice", "--pair", "sl2-so2", "--point", '["1/0"]'],
+        ["decompose", "--pair", "sl2-so2", "--field", '["(1/0)*x0"]'],
+    ],
+)
+def test_zero_denominator_is_input_error(argv, capsys):
+    code, report = run_json(argv, capsys)
+    assert code == 3
+    assert "zero denominator" in report["error"]["message"]
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -10,6 +10,7 @@ from symcart.invariants import (
     build_chart,
     gradient,
     gram_phi,
+    invariant_basis,
     invariant_generators,
     local_chart,
     phi_from_roots,
@@ -71,6 +72,8 @@ def test_generators_sl3_degrees_and_molien_oracle():
             img = reynolds(weyl, MultiPoly(2, {e: Qi(1)}))
             span.add(img.coefficient_vector(monos))
         assert span.dim == weighted_partition_count((2, 3), d)
+        assert len(invariant_basis(weyl, d)) == weighted_partition_count((2, 3), d)
+        assert invariant_basis(weyl, d) is invariant_basis(weyl, d)
 
 
 def _monomials(nvars, d):

@@ -6,7 +6,7 @@ import pytest
 from _oracles import average_field, average_poly, rand_poly
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import MultiPoly, mat_identity
-from symcart.invariants import build_chart, gradient, local_chart
+from symcart.invariants import build_chart, gradient, is_invariant, local_chart
 from symcart.liesym import catalog, catalog_pair
 from symcart.rootsys import restricted_roots, weyl_group
 from symcart.vecfields import (
@@ -24,6 +24,7 @@ from symcart.vecfields import (
     jet_of,
     jet_unit,
     lift_derivation,
+    reynolds_field,
     solomon_decompose,
     transition_matrix,
 )
@@ -74,6 +75,52 @@ def test_invariance_flags():
     raw = [rand_poly(rng, 2, 4) for _ in range(2)]
     avg = PolyVectorField(average_field(raw, weyl))
     assert is_invariant_field(avg, weyl)
+
+
+def _pushed(w, comps):
+    # w . X(w^{-1} x) for an involution w
+    n = len(comps)
+    moved = [c.compose_linear(w) for c in comps]
+    return [
+        sum((w[i][j] * moved[j] for j in range(n)), MultiPoly.zero(n))
+        for i in range(n)
+    ]
+
+
+def test_generator_checks_agree_with_elementwise_oracles():
+    rng = random.Random(13)
+    seen = set()
+    for pair in catalog():
+        _, _, weyl = _chart(pair.name)
+        n = weyl.dim
+        for _ in range(4):
+            f = rand_poly(rng, n, 4)
+            for g in (f, average_poly(f, weyl)):
+                verdict = is_invariant(g, weyl)
+                assert verdict == (average_poly(g, weyl) == g)
+                seen.add(verdict)
+            raw = [rand_poly(rng, n, 3) for _ in range(n)]
+            avg = average_field(raw, weyl)
+            assert reynolds_field(weyl, PolyVectorField(raw)).components == avg
+            for comps in (raw, avg):
+                verdict = is_invariant_field(PolyVectorField(comps), weyl)
+                assert verdict == (average_field(comps, weyl) == comps)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+    # fixed by one generating reflection of sl3-so21, not by the group
+    _, _, weyl = _chart("sl3-so21")
+    s = weyl.generators[0]
+    f = rand_poly(rng, 2, 4)
+    f = f + f.compose_linear(s)
+    assert f.compose_linear(s) == f
+    assert average_poly(f, weyl) != f
+    assert not is_invariant(f, weyl)
+    raw = [rand_poly(rng, 2, 3) for _ in range(2)]
+    comps = [a + b for a, b in zip(raw, _pushed(s, raw))]
+    assert _pushed(s, comps) == comps
+    assert average_field(comps, weyl) != comps
+    assert not is_invariant_field(PolyVectorField(comps), weyl)
 
 
 def test_solomon_basic_cases():
