@@ -241,8 +241,10 @@ def _regular_point(chart, points):
 # ------------------------------------------------------------------- checks
 
 def _permutation_check(system, weyl):
+    # products of root permutations permute the roots, so the generators
+    # decide it for all of W
     keys = {tuple((x.real, x.imag) for x in r.functional) for r in system.roots}
-    for g in weyl.elements:
+    for g in weyl.generators:
         gt = mat_transpose(mat_inverse(g))
         for r in system.roots:
             image = mat_vec(gt, r.functional)

@@ -658,9 +658,31 @@ def mat_transpose(A):
 
 
 def mat_det(A):
-    if any(len(row) != len(A) for row in A):
+    """Determinant of a square Q(i) matrix by Gaussian elimination: the
+    product of the pivots, negated once per row swap."""
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")
-    return _det_cofactor(A, QI_ZERO)
+    if n == 0:
+        raise ValueError("empty matrix")
+    rows = [list(r) for r in A]
+    det = QI_ONE
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            return QI_ZERO
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        p = rows[col][col]
+        det = det * p
+        inv = QI_ONE / p
+        for i in range(col + 1, n):
+            if not rows[i][col].is_zero():
+                f = rows[i][col] * inv
+                for j in range(col + 1, n):
+                    rows[i][j] = rows[i][j] - f * rows[col][j]
+    return det
 
 
 def mat_inverse(A):
@@ -801,7 +823,10 @@ def matrix_min_poly(A):
         if not span.add(flat):
             cols = [[flats[j][i] for j in range(k)] for i in range(n * n)]
             sol = solve_exact(cols, flat)
-            assert sol.particular is not None
+            if sol.particular is None:
+                raise RuntimeError(
+                    "internal error: dependent matrix power is not in the span"
+                )
             coeffs = [-c for c in sol.particular] + [QI_ONE]
             return univ_trim(coeffs)
         flats.append(flat)

@@ -8,6 +8,7 @@ every structural identity on the nose.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -34,7 +35,10 @@ def _scalar(x):
         return x
     if isinstance(x, str):
         return parse_scalar(x)
-    return GaussianRational(x)
+    try:
+        return GaussianRational(x)
+    except (TypeError, OverflowError):
+        raise ValueError(f"not a scalar: {x!r}") from None
 
 
 def _vec(v):
@@ -43,6 +47,14 @@ def _vec(v):
 
 def _mat(rows):
     return [_vec(r) for r in rows]
+
+
+def _is_square(rows, n):
+    return (
+        isinstance(rows, (list, tuple))
+        and len(rows) == n
+        and all(isinstance(r, (list, tuple)) and len(r) == n for r in rows)
+    )
 
 
 def _is_zero_vec(v):
@@ -159,15 +171,14 @@ class SymmetricPair:
     """
 
     def __init__(self, algebra, sigma, kappa, name="", cartan=None, seed=0):
+        n = algebra.dim
+        for what, rows in (("sigma", sigma), ("kappa", kappa)):
+            if not _is_square(rows, n):
+                raise ValueError(f"{what} matrix has the wrong shape")
         self.algebra = algebra
         self.sigma = _mat(sigma)
         self.kappa = _mat(kappa)
         self.name = name
-        n = algebra.dim
-        if len(self.sigma) != n or any(len(r) != n for r in self.sigma):
-            raise ValueError("sigma matrix has the wrong shape")
-        if len(self.kappa) != n or any(len(r) != n for r in self.kappa):
-            raise ValueError("kappa matrix has the wrong shape")
 
         if mat_mul(self.sigma, self.sigma) != mat_identity(n):
             raise ValueError("sigma squared is not the identity")
@@ -186,12 +197,16 @@ class SymmetricPair:
                     "the basis must be sigma-adapted"
                 )
 
-        eps = [Qi(1) if i in set(self.h_basis) else Qi(-1) for i in range(n)]
+        # the loop above proved sigma = diag(eps), so sigma[e_i, e_j] =
+        # [sigma e_i, sigma e_j] reads eps[k] c_ijk = eps[i] eps[j] c_ijk
+        h = set(self.h_basis)
+        eps = [1 if i in h else -1 for i in range(n)]
         for i in range(n):
             for j in range(n):
-                lhs = mat_vec(self.sigma, algebra.c[i][j])
-                rhs = [eps[i] * eps[j] * v for v in algebra.c[i][j]]
-                if lhs != rhs:
+                if any(
+                    eps[k] != eps[i] * eps[j] and not v.is_zero()
+                    for k, v in enumerate(algebra.c[i][j])
+                ):
                     raise ValueError(
                         f"sigma is not a Lie algebra automorphism at basis pair ({i}, {j})"
                     )
@@ -206,14 +221,10 @@ class SymmetricPair:
         Kq = [[K[i][j] for j in self.q_basis] for i in self.q_basis]
         if self.q_basis and mat_det(Kq).is_zero():
             raise ValueError("kappa is degenerate on q")
+        # sigma^T K sigma = K with sigma diagonal: K vanishes between h and q
         for i in range(n):
             for j in range(n):
-                s = Qi(0)
-                for r in range(n):
-                    s = s + self.sigma[r][i] * sum(
-                        (K[r][t] * self.sigma[t][j] for t in range(n)), Qi(0)
-                    )
-                if s != K[i][j]:
+                if eps[i] != eps[j] and not K[i][j].is_zero():
                     raise ValueError("kappa is not sigma-invariant")
         for i in range(n):
             for j in range(n):
@@ -446,27 +457,25 @@ def _build_sl2_diagonal():
     return _pair_from_matrices("sl2-diagonal", h_mats, q_mats, cartan)
 
 
-_CATALOG = None
+_BUILDERS = {
+    "sl2-so2": _build_sl2_so2,
+    "sl3-so21": _build_sl3_so21,
+    "abelian2": _build_abelian2,
+    "sl2-diagonal": _build_sl2_diagonal,
+}
+
+
+@functools.cache
+def catalog_pair(name):
+    """The named built-in pair, built and fully validated on first use."""
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown pair {name!r}")
+    return _BUILDERS[name]()
 
 
 def catalog():
-    """The built-in symmetric pairs, fully validated on first use."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = [
-            _build_sl2_so2(),
-            _build_sl3_so21(),
-            _build_abelian2(),
-            _build_sl2_diagonal(),
-        ]
-    return list(_CATALOG)
-
-
-def catalog_pair(name):
-    for p in catalog():
-        if p.name == name:
-            return p
-    raise ValueError(f"unknown pair {name!r}")
+    """Every built-in symmetric pair, in catalog order."""
+    return [catalog_pair(name) for name in _BUILDERS]
 
 
 # ---------------------------------------------------------------- loading
@@ -484,13 +493,25 @@ def load_pair(definition):
             f"pair definition dim must be an integer, not {definition['dim']!r}"
         ) from None
     name = definition.get("name", "")
+    if dim < 1:
+        raise ValueError(f"pair definition dim must be positive, not {dim}")
+    if not isinstance(brackets, list):
+        raise ValueError("pair definition brackets must be a list of entries")
+    cartan_rows = definition.get("cartan") or []
+    if not isinstance(cartan_rows, list) or any(
+        not isinstance(r, list) for r in cartan_rows
+    ):
+        raise ValueError("pair definition cartan must be a list of vectors")
 
     c = [[[Qi(0)] * dim for _ in range(dim)] for _ in range(dim)]
     given = {}
     for entry in brackets:
-        if len(entry) != 4:
+        if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"bad bracket entry {entry!r}")
-        i, j, k = int(entry[0]), int(entry[1]), int(entry[2])
+        try:
+            i, j, k = int(entry[0]), int(entry[1]), int(entry[2])
+        except (TypeError, ValueError):
+            raise ValueError(f"bad bracket entry {entry!r}") from None
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"bracket entry {entry!r} is out of range")
         if (i, j, k) in given:
@@ -502,12 +523,9 @@ def load_pair(definition):
         if (j, i, k) not in given:
             c[j][i][k] = -val
     algebra = LieAlgebra(dim, c)
-
-    if "kappa" in definition and definition["kappa"] is not None:
-        kappa = _mat(definition["kappa"])
-    else:
+    kappa = definition.get("kappa")
+    if kappa is None:
         kappa = algebra.killing()
 
-    cartan_rows = definition.get("cartan") or []
     cartan = CartanSubspace(_mat(cartan_rows)) if cartan_rows else None
-    return SymmetricPair(algebra, _mat(sigma), kappa, name=name, cartan=cartan)
+    return SymmetricPair(algebra, sigma, kappa, name=name, cartan=cartan)

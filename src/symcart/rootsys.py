@@ -197,7 +197,10 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
         ]
         key = _mat_key(S)
         if key not in seen_gen:
-            assert mat_mul(S, S) == mat_identity(dim)
+            if mat_mul(S, S) != mat_identity(dim):
+                raise RuntimeError(
+                    "internal error: root reflection is not an involution"
+                )
             seen_gen.add(key)
             generators.append(S)
 

@@ -132,3 +132,17 @@ def average_field(components, weyl):
                 acc[i] = acc[i] + w[i][j] * moved[j]
     scale = Qi(Fraction(1, weyl.order))
     return [c * scale for c in acc]
+
+
+def det_cofactor(M):
+    """Determinant by cofactor expansion along the first row: n! terms,
+    so only for small matrices, but free of any pivoting logic."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    acc = Qi(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        term = M[0][j] * det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc

@@ -109,6 +109,23 @@ def test_weyl_sl2(capsys):
     assert check_map(report)["weyl_permutes_roots"]["passed"]
 
 
+def test_permutation_check_reports_a_non_permuting_generator():
+    from symcart.exactalg import GaussianRational as Qi
+    from symcart.liesym import catalog_pair
+    from symcart.rootsys import WeylGroup, restricted_roots, weyl_group
+
+    pair = catalog_pair("sl2-so2")
+    system = restricted_roots(pair)
+    weyl = weyl_group(system, pair.kappa_on_cartan())
+    assert cli._permutation_check(system, weyl) == (True, None)
+    doubling = [[Qi(2)]]
+    bad = WeylGroup(1, [doubling], [[[Qi(1)]], doubling], weyl.kappa_on_a)
+    ok, witness = cli._permutation_check(system, bad)
+    assert not ok
+    assert witness["matrix"] == [["2"]]
+    assert witness["functional"] in (["2"], ["-2"])
+
+
 def test_generators_sl3(capsys):
     code, report = run_json(["generators", "--pair", "sl3-so21"], capsys)
     assert code == 0
@@ -307,6 +324,21 @@ def test_malformed_inputs_are_input_errors(capsys, tmp_path):
     code, report = run_json(["phi", "--pair-file", str(null_dim)], capsys)
     assert code == 3
     assert "dim" in report["error"]["message"]
+    for field, value, word in (
+        ("dim", 0, "dim"),
+        ("brackets", None, "brackets"),
+        ("brackets", [5], "bracket entry"),
+        ("brackets", [[None, 1, 2, "1"]], "bracket entry"),
+        ("sigma", None, "sigma"),
+        ("sigma", [[None, 0, 0], [0, -1, 0], [0, 0, -1]], "not a scalar"),
+        ("kappa", 3, "kappa"),
+        ("cartan", 3, "cartan"),
+    ):
+        doc = tmp_path / f"bad_{field}.json"
+        doc.write_text(json.dumps(dict(SL2_DOC, **{field: value})))
+        code, report = run_json(["phi", "--pair-file", str(doc)], capsys)
+        assert code == 3, (field, value)
+        assert word in report["error"]["message"], (field, value)
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,18 @@ def test_load_pair_diagnostics_are_distinct():
             _sl2_definition(kappa=[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]])
         )
 
+    # singular on g, nondegenerate on q
+    with pytest.raises(ValueError, match="kappa is degenerate$"):
+        load_pair(
+            _sl2_definition(kappa=[["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+        )
+
+    # nondegenerate on g and on q, but pairs h with q
+    with pytest.raises(ValueError, match="not sigma-invariant"):
+        load_pair(
+            _sl2_definition(kappa=[["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]])
+        )
+
     with pytest.raises(ValueError):
         load_pair(_sl2_definition(brackets=[[0, 1, 2, "oops"]]))
 
