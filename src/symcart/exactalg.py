@@ -12,6 +12,20 @@ from fractions import Fraction
 from math import isqrt
 
 
+class CertificationError(RuntimeError):
+    """A computed result failed an identity the mathematics guarantees.
+
+    `name` is the check as the command line reports it and `witness` a
+    JSON-ready dict describing the failure.  Each check is an explicit
+    `if`, so `python -O` keeps it.
+    """
+
+    def __init__(self, name, witness):
+        super().__init__(f"{name} failed: {witness}")
+        self.name = name
+        self.witness = witness
+
+
 class GaussianRational:
     """Element a + bi of Q(i), with exact Fraction parts."""
 
@@ -130,6 +144,14 @@ def render_scalar(s: GaussianRational) -> str:
     if s.imag < 0:
         return f"{s.real} - {-s.imag}i"
     return f"{s.real} + {s.imag}i"
+
+
+def render_vector(v):
+    return [render_scalar(x) for x in v]
+
+
+def render_matrix(m):
+    return [render_vector(row) for row in m]
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -341,20 +363,17 @@ class MultiPoly:
         if len(subs) != self.num_vars:
             raise ValueError("need one substitution per variable")
         n = subs[0].num_vars
-        powers = [{0: MultiPoly.one(n)} for _ in subs]
-
-        def pw(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = pw(i, k - 1) * subs[i]
-            return cache[k]
-
+        # powers[i][k] is subs[i]^k, extended on demand
+        powers = [[MultiPoly.one(n)] for _ in subs]
         acc = MultiPoly.zero(n)
         for e, c in self.terms.items():
             term = MultiPoly.constant(n, c)
             for i, k in enumerate(e):
                 if k:
-                    term = term * pw(i, k)
+                    cache = powers[i]
+                    while len(cache) <= k:
+                        cache.append(cache[-1] * subs[i])
+                    term = term * cache[k]
             acc = acc + term
         return acc
 
@@ -818,20 +837,21 @@ def matrix_min_poly(A):
     power = mat_identity(n)
     flats = []
     span = LinearSpan(n * n)
+    # n^2 + 1 powers in an n^2-dimensional space: one is dependent
+    sol = None
     for k in range(n * n + 1):
         flat = [x for row in power for x in row]
         if not span.add(flat):
             cols = [[flats[j][i] for j in range(k)] for i in range(n * n)]
             sol = solve_exact(cols, flat)
-            if sol.particular is None:
-                raise RuntimeError(
-                    "internal error: dependent matrix power is not in the span"
-                )
-            coeffs = [-c for c in sol.particular] + [QI_ONE]
-            return univ_trim(coeffs)
+            break
         flats.append(flat)
         power = mat_mul(power, A)
-    raise AssertionError("minimal polynomial search exceeded the dimension bound")
+    if sol is None or sol.particular is None:
+        raise CertificationError(
+            "min_poly_relation", {"size": n, "independent_powers": len(flats)}
+        )
+    return univ_trim([-c for c in sol.particular] + [QI_ONE])
 
 
 def _int_divisors(n):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .exactalg import (
     GaussianRational,
     LinearSpan,
-    MultiPoly,
+    kernel_basis,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -21,7 +21,7 @@ from .exactalg import (
     univ_is_squarefree,
 )
 from .invariants import build_chart
-from .liesym import catalog_pair
+from .liesym import _commutator, catalog_pair
 
 Qi = GaussianRational
 _I = Qi(0, 1)
@@ -98,12 +98,6 @@ def _sigma(a):
     return [[-x for x in row] for row in out]
 
 
-def _bracket(a, b):
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-
-
 def _is_zero_mat(m):
     return all(x.is_zero() for row in m for x in row)
 
@@ -137,14 +131,12 @@ def _centralizer_in_q(point):
     # kernel of v -> [point, v] over the q coordinates
     rows = []
     for k in range(9):
-        rows.append([_flat(_bracket(point, q))[k] for q in Q_BASIS])
-    from .exactalg import kernel_basis
-
+        rows.append([_flat(_commutator(point, q))[k] for q in Q_BASIS])
     return kernel_basis(rows)
 
 
 def _check_cartan():
-    if not _is_zero_mat(_bracket(A_BASIS[0], A_BASIS[1])):
+    if not _is_zero_mat(_commutator(A_BASIS[0], A_BASIS[1])):
         return False, "a is not abelian"
     probes = [A_BASIS[0], A_BASIS[1], _a_point(Qi(1), Qi(2))]
     for p in probes:
@@ -192,8 +184,6 @@ def _check_fixed_space():
             ]
             row.append(_flat(diff)[k])
         rows.append(row)
-    from .exactalg import kernel_basis
-
     kern = kernel_basis(rows)
     if len(kern) != 3:
         return False, "fixed space has dimension %d" % len(kern)

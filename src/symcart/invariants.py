@@ -6,9 +6,11 @@ product of the reduced restricted roots, and the Gram determinant
 identity that ties the two together.
 """
 
+import math
 from fractions import Fraction
 
 from .exactalg import (
+    CertificationError,
     GaussianRational,
     LinearSpan,
     MultiPoly,
@@ -18,6 +20,8 @@ from .exactalg import (
     mat_mul,
     mat_transpose,
     poly_divides,
+    render_matrix,
+    render_vector,
 )
 from .rootsys import WeylGroup, local_subsystem, restricted_roots, weyl_group
 
@@ -138,36 +142,24 @@ def invariant_generators(weyl):
         if len(adopted) >= n:
             break
     if len(adopted) != n:
-        raise RuntimeError(
-            "internal error: generator search ended with %d generators "
-            "below degree %d" % (len(adopted), cap)
+        raise CertificationError(
+            "generator_count", {"found": len(adopted), "degree_cap": cap}
         )
-    prod = 1
-    for d in degrees:
-        prod *= d
-    if prod != weyl.order:
-        raise RuntimeError(
-            "internal error: generator degrees %r do not multiply to the "
-            "group order %d" % (degrees, weyl.order)
+    if math.prod(degrees) != weyl.order:
+        raise CertificationError(
+            "degrees_product", {"degrees": degrees, "order": weyl.order}
         )
     jac = [[p.partial(j) for j in range(n)] for p in adopted]
     jdet, _ = det_adjugate(jac)
     if jdet.is_zero():
-        raise RuntimeError("internal error: generators are not independent")
+        raise CertificationError("jacobian_nonzero", {"jacobian_det": jdet.render()})
     return adopted, degrees
 
 
-def phi_from_roots(roots, rank=None):
+def phi_from_roots(system):
     """Product of the reduced restricted roots, as a polynomial on a."""
-    if hasattr(roots, "roots"):
-        rank = roots.rank
-        roots = roots.roots
-    if rank is None:
-        if not roots:
-            raise ValueError("rank is required when the root list is empty")
-        rank = len(roots[0].functional)
-    phi = MultiPoly.one(rank)
-    for r in roots:
+    phi = MultiPoly.one(system.rank)
+    for r in system.roots:
         if r.is_reduced:
             phi = phi * MultiPoly.linear_form(r.functional)
     return phi
@@ -202,12 +194,12 @@ def _gram(generators, gradients, phi):
     det, adj = det_adjugate(A)
     q = poly_divides(det, phi)
     if q is None or q.degree() > 0:
-        raise ValueError(
-            "Gram determinant is not a constant multiple of the root product"
+        raise CertificationError(
+            "gram_identity", {"gram_det": det.render(), "phi": phi.render()}
         )
     c = q.constant_term()
     if c.is_zero():
-        raise ValueError("Gram determinant vanishes identically")
+        raise CertificationError("gram_constant_nonzero", {"gram_det": det.render()})
     return A, adj, det, c
 
 
@@ -271,7 +263,7 @@ def build_chart(pair, seed=0):
     generators, degrees = invariant_generators(weyl)
     phi = phi_from_roots(system)
     if not is_invariant(phi, weyl):
-        raise RuntimeError("internal error: root product is not invariant")
+        raise CertificationError("phi_invariant", {"phi": phi.render()})
     gradients = [gradient(p, K) for p in generators]
     A, adj, det, c = _gram(generators, gradients, phi)
     return InvariantChart(
@@ -297,12 +289,16 @@ def local_chart(roots, weyl, chart, a_point):
         for src, dst in ((W_a.elements, blocks), (W_a.generators, gen_blocks)):
             for g in src:
                 gp = mat_mul(Tinv, mat_mul(g, T))
-                for i in range(n):
-                    for j in range(n):
-                        if (i < r) != (j < r):
-                            assert gp[i][j].is_zero(), "frame does not split"
-                        elif i >= r and gp[i][j] != (Qi(1) if i == j else Qi(0)):
-                            raise AssertionError("fixed block is not trivial")
+                # block diagonal, with the identity on the fixed space
+                if any(
+                    gp[i][j] != (Qi(1) if i == j else Qi(0))
+                    for i in range(n)
+                    for j in range(n)
+                    if i >= r or j >= r
+                ):
+                    raise CertificationError(
+                        "local_frame_split", {"matrix": render_matrix(gp)}
+                    )
                 dst.append([row[:r] for row in gp[:r]])
         Kp = mat_mul(mat_transpose(T), mat_mul(weyl.kappa_on_a, T))
         Kb = [row[:r] for row in Kp[:r]]
@@ -316,8 +312,11 @@ def local_chart(roots, weyl, chart, a_point):
     local_u = [g.compose(urows[:r]) for g in bgens]
     local_u.extend(urows[r:])
     degrees = list(bdegs) + [1] * (n - r)
-    if not all(is_invariant(f, W_a) for f in local_u):
-        raise RuntimeError("internal error: local generator not invariant")
+    for f in local_u:
+        if not is_invariant(f, W_a):
+            raise CertificationError(
+                "local_generators_invariant", {"generator": f.render()}
+            )
 
     neg = [-x for x in pt]
     local_x = [f.shift(neg) for f in local_u]
@@ -325,8 +324,7 @@ def local_chart(roots, weyl, chart, a_point):
 
     psi = MultiPoly.one(n)
     phi_local = MultiPoly.one(n)
-    root_list = roots.roots if hasattr(roots, "roots") else roots
-    for rt in root_list:
+    for rt in roots.roots:
         if not rt.is_reduced:
             continue
         form = MultiPoly.linear_form(rt.functional)
@@ -334,8 +332,20 @@ def local_chart(roots, weyl, chart, a_point):
             phi_local = phi_local * form
         else:
             psi = psi * form
-    assert psi * phi_local == chart.phi, "root product fails to factor"
-    assert not psi.evaluate(pt).is_zero()
+    if psi * phi_local != chart.phi:
+        raise CertificationError(
+            "factorization_exact",
+            {
+                "point": render_vector(pt),
+                "psi": psi.render(),
+                "phi_local": phi_local.render(),
+            },
+        )
+    if psi.evaluate(pt).is_zero():
+        raise CertificationError(
+            "local_value_nonzero",
+            {"point": render_vector(pt), "psi": psi.render()},
+        )
 
     return LocalChart(
         pt, local_x, degrees, gradients, psi, phi_local, W_a,

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from .exactalg import (
+    CertificationError,
     GaussianRational,
     LinearSpan,
     MultiPoly,
@@ -24,6 +25,7 @@ from .exactalg import (
     mat_vec,
     matrix_min_poly,
     parse_scalar,
+    solve_exact,
     univ_derivative,
     univ_gcd,
     univ_is_squarefree,
@@ -339,9 +341,12 @@ def centralizer_in_q(pair, a_point):
             m.append(v)
     total = LinearSpan(n)
     for v in q_a + m:
-        if not total.add(v):
-            raise AssertionError("q_a and m do not form a direct sum")
-    assert total.dim == len(qb)
+        total.add(v)
+    if not total.dim == len(q_a) + len(m) == len(qb):
+        raise CertificationError(
+            "centralizer_split",
+            {"q_a_dim": len(q_a), "m_dim": len(m), "q_dim": len(qb)},
+        )
     return q_a, m
 
 
@@ -374,8 +379,6 @@ def _pair_from_matrices(name, h_mats, q_mats, cartan_coords, seed=0):
     dim = len(mats)
     size = len(mats[0])
     # express commutators in the basis by exact linear solve
-    from .exactalg import solve_exact
-
     cols = [[m[r][c] for m in mats] for r in range(size) for c in range(size)]
     structure = [[None] * dim for _ in range(dim)]
     for i in range(dim):
@@ -386,7 +389,9 @@ def _pair_from_matrices(name, h_mats, q_mats, cartan_coords, seed=0):
             flat = [target[r][c] for r in range(size) for c in range(size)]
             sol = solve_exact(cols, flat)
             if sol.particular is None:
-                raise AssertionError("matrix basis is not closed under brackets")
+                raise CertificationError(
+                    "brackets_closed", {"pair": name, "basis_pair": [i, j]}
+                )
             structure[i][j] = sol.particular
             structure[j][i] = [-x for x in sol.particular]
     algebra = LieAlgebra(dim, structure)

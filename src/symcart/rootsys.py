@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .exactalg import (
+    CertificationError,
     LinearSpan,
     Qi,
     gaussian_rational_roots,
@@ -21,6 +22,9 @@ from .exactalg import (
     mat_mul,
     mat_vec,
     matrix_min_poly,
+    render_matrix,
+    render_scalar,
+    render_vector,
     univ_is_squarefree,
 )
 from .liesym import _vec
@@ -117,12 +121,26 @@ def restricted_roots(pair, cartan=None, seed=0):
         if decomposition is None:
             continue
         roots, zero_dim = decomposition
-        assert zero_dim == z_dim
+        total = sum(m for _, m in roots)
+        if not zero_dim == z_dim == n - total:
+            raise CertificationError(
+                "root_bookkeeping",
+                {
+                    "dim_g": n,
+                    "zero_dim": zero_dim,
+                    "centralizer_dim": z_dim,
+                    "multiplicity_sum": total,
+                },
+            )
         flags = reduced_subset([f for f, _ in roots])
         mults = {tuple((x.real, x.imag) for x in f): m for f, m in roots}
         for f, m in roots:
             neg = tuple(((-x).real, (-x).imag) for x in f)
-            assert mults.get(neg) == m, "root system is not symmetric"
+            if mults.get(neg) != m:
+                raise CertificationError(
+                    "roots_symmetric",
+                    {"functional": render_vector(f), "multiplicity": m},
+                )
         out = [
             RestrictedRoot(list(f), m, flag)
             for (f, m), flag in zip(roots, flags)
@@ -135,7 +153,6 @@ def restricted_roots(pair, cartan=None, seed=0):
 def _joint_decomposition(A0, ads, eigs, coords, n):
     roots = []
     zero_dim = 0
-    total = 0
     for lam in eigs:
         M = [
             [A0[r][s] - (lam if r == s else Qi(0)) for s in range(n)]
@@ -156,27 +173,31 @@ def _joint_decomposition(A0, ads, eigs, coords, n):
                 elif mu != ratio:
                     return None
             func.append(mu if mu is not None else Qi(0))
-        check = sum((f * c for f, c in zip(func, coords)), Qi(0))
-        assert check == lam
+        if sum((f * c for f, c in zip(func, coords)), Qi(0)) != lam:
+            raise CertificationError(
+                "root_eigenvalue",
+                {
+                    "eigenvalue": render_scalar(lam),
+                    "functional": render_vector(func),
+                },
+            )
         if all(f.is_zero() for f in func):
             zero_dim += len(E)
         else:
             roots.append((tuple(func), len(E)))
-        total += len(E)
-    assert total == n, "minimal polynomial was squarefree yet space not split"
     return roots, zero_dim
 
 
 def weyl_group(roots, kappa_on_a, max_elements=100000):
     """Breadth-first closure of the root reflections s_a built from the
-    kappa-induced form; every element is checked to permute the roots."""
-    if isinstance(roots, RestrictedRootSystem):
-        root_list = roots.roots
-    else:
-        root_list = [
-            r if isinstance(r, RestrictedRoot) else RestrictedRoot(_vec(r), 1)
-            for r in roots
-        ]
+    kappa-induced form.
+
+    `roots` is a `RestrictedRootSystem` or a list of `RestrictedRoot`.
+    Each generating reflection is checked to permute the roots with their
+    multiplicities; products of such permutations are permutations, so
+    that certifies every element.
+    """
+    root_list = roots.roots if isinstance(roots, RestrictedRootSystem) else roots
     dim = len(kappa_on_a)
     kinv = mat_inverse(kappa_on_a)
     generators = []
@@ -198,11 +219,33 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
         key = _mat_key(S)
         if key not in seen_gen:
             if mat_mul(S, S) != mat_identity(dim):
-                raise RuntimeError(
-                    "internal error: root reflection is not an involution"
+                raise CertificationError(
+                    "reflection_involution", {"functional": render_vector(alpha)}
                 )
             seen_gen.add(key)
             generators.append(S)
+
+    def fkey(f):
+        return tuple((x.real, x.imag) for x in f)
+
+    mults = {}
+    for r in root_list:
+        k = fkey(r.functional)
+        mults[k] = mults.get(k, 0) + r.multiplicity
+    for g in generators:
+        for r in root_list:
+            image = [
+                sum((r.functional[k] * g[k][j] for k in range(dim)), Qi(0))
+                for j in range(dim)
+            ]
+            if mults.get(fkey(image)) != mults[fkey(r.functional)]:
+                raise CertificationError(
+                    "weyl_permutes_roots",
+                    {
+                        "matrix": render_matrix(g),
+                        "functional": render_vector(r.functional),
+                    },
+                )
 
     ident = mat_identity(dim)
     elements = {_mat_key(ident): ident}
@@ -222,22 +265,6 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
                     fresh.append(p)
         frontier = fresh
     ordered = [elements[k] for k in sorted(elements)]
-
-    mults = {}
-    for r in root_list:
-        k = tuple((x.real, x.imag) for x in r.functional)
-        mults[k] = mults.get(k, 0) + r.multiplicity
-    for w in ordered:
-        moved = {}
-        for r in root_list:
-            f = tuple(
-                sum((r.functional[k] * w[k][j] for k in range(dim)), Qi(0))
-                for j in range(dim)
-            )
-            key = tuple((x.real, x.imag) for x in f)
-            moved[key] = moved.get(key, 0) + r.multiplicity
-        if moved != mults:
-            raise ValueError("Weyl element does not permute the root system")
     return WeylGroup(dim, generators, ordered, kappa_on_a)
 
 
@@ -252,7 +279,12 @@ def local_subsystem(system, weyl, a_point):
         if sum((f * x for f, x in zip(r.functional, pt)), Qi(0)).is_zero()
     ]
     W_a = weyl_group(roots_a, weyl.kappa_on_a)
-    assert all(weyl.contains(m) for m in W_a.elements)
+    # W_a is the closure of its generators, so checking them covers W_a
+    for g in W_a.generators:
+        if not weyl.contains(g):
+            raise CertificationError(
+                "local_group_in_weyl", {"matrix": render_matrix(g)}
+            )
 
     kinv = mat_inverse(weyl.kappa_on_a)
     b_span = LinearSpan(dim)
@@ -271,11 +303,16 @@ def local_subsystem(system, weyl, a_point):
 
     total = LinearSpan(dim)
     for v in b_basis + c_basis:
-        ok = total.add(v)
-        assert ok, "b and c overlap"
-    assert total.dim == dim, "b and c do not span a"
-    for w in W_a.elements:
-        assert mat_vec(w, pt) == pt
-        for v in c_basis:
-            assert mat_vec(w, v) == v
+        total.add(v)
+    if not total.dim == len(b_basis) + len(c_basis) == dim:
+        raise CertificationError(
+            "local_split", {"b_dim": len(b_basis), "c_dim": len(c_basis), "dim": dim}
+        )
+    for g in W_a.generators:
+        for v in [pt] + c_basis:
+            if mat_vec(g, v) != v:
+                raise CertificationError(
+                    "local_group_fixes",
+                    {"matrix": render_matrix(g), "vector": render_vector(v)},
+                )
     return roots_a, W_a, (b_basis, c_basis)

@@ -10,10 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
+    CertificationError,
     GaussianRational,
     MultiPoly,
     det_adjugate,
     mat_inverse,
+    render_vector,
     solve_exact,
 )
 from .invariants import (
@@ -141,8 +143,9 @@ def solomon_decompose(X, chart, weyl):
     """Unique coefficients R_i with X = sum R_i grad(p_i), R_i invariant.
 
     Works degree by degree in the chart's shifted variable; each degree
-    is one exact linear solve over invariant-polynomial coefficients,
-    and uniqueness is certified by the kernel being trivial.
+    is one exact linear solve over invariant-polynomial coefficients.
+    Uniqueness is certified by the kernel being trivial, and the result
+    by rebuilding X from the returned coefficients.
     """
     if not is_invariant_field(X, weyl):
         raise ValueError("field is not invariant under the chart group")
@@ -174,12 +177,6 @@ def solomon_decompose(X, chart, weyl):
         rhs = []
         for t in targets:
             rhs.extend(t.coefficient_vector(monos))
-        if not cols:
-            if any(not x.is_zero() for x in rhs):
-                raise RuntimeError(
-                    "internal error: decomposition system is inconsistent"
-                )
-            continue
         colvecs = []
         for j, b in cols:
             vec = []
@@ -189,25 +186,27 @@ def solomon_decompose(X, chart, weyl):
         A = [[col[r] for col in colvecs] for r in range(len(rhs))]
         sol = solve_exact(A, rhs)
         if sol.particular is None:
-            raise RuntimeError(
-                "internal error: decomposition system is inconsistent"
-            )
+            raise CertificationError("decomposition_consistent", {"degree": d})
         if sol.kernel:
-            raise RuntimeError(
-                "internal error: decomposition is not unique"
+            raise CertificationError(
+                "decomposition_unique", {"degree": d, "kernel_dim": len(sol.kernel)}
             )
         for coeff, (j, b) in zip(sol.particular, cols):
             if not coeff.is_zero():
                 R_u[j] = R_u[j] + coeff * b
-    for i in range(n):
-        acc = MultiPoly.zero(n)
-        for j in range(ell):
-            acc = acc + R_u[j] * grads_u[j][i]
-        assert acc == comp_u[i], "decomposition does not reassemble"
-    if not shifted:
-        return R_u
-    neg = [-x for x in a]
-    return [r.shift(neg) for r in R_u]
+    R = [r.shift([-x for x in a]) for r in R_u] if shifted else R_u
+    rebuilt = field_from_coefficients(R, chart)
+    if rebuilt != X:
+        raise CertificationError(
+            "reconstruction_exact",
+            {
+                "difference": [
+                    (p - q).render()
+                    for p, q in zip(rebuilt.components, X.components)
+                ]
+            },
+        )
+    return R
 
 
 def field_from_coefficients(coeffs, chart):
@@ -252,11 +251,11 @@ def _phi_in_generators(chart):
     rhs = [phi.terms.get(m, Qi(0)) for m in monos]
     sol = solve_exact(A, rhs)
     if sol.particular is None:
-        raise RuntimeError(
-            "internal error: root product is not a polynomial in the "
-            "generators"
+        raise CertificationError("phi_in_generators", {"phi": phi.render()})
+    if sol.kernel:
+        raise CertificationError(
+            "generator_products_independent", {"degree": phi.degree()}
         )
-    assert not sol.kernel, "generator products are dependent"
     return {
         e: c for (e, _), c in zip(products, sol.particular) if not c.is_zero()
     }
@@ -312,7 +311,8 @@ def lift_derivation(D, chart):
         rhs = MultiPoly.zero(nvars)
         for i in range(n):
             rhs = rhs + psi[i] * chart.gram_matrix[i][j]
-        assert lhs == rhs, "adjugate system identity fails"
+        if lhs != rhs:
+            raise CertificationError("adjugate_identity", {"index": j})
     phis = []
     for i, s in enumerate(psi):
         q, r = s.divmod_by(chart.phi)
@@ -320,24 +320,46 @@ def lift_derivation(D, chart):
             return NotLiftable(i, s, r)
         phis.append(q)
     X = field_from_coefficients(phis, chart)
-    for img, p in zip(D.images, chart.generators):
-        assert X.apply_to(p) == img, "lift does not reconstruct the images"
-    if not all(is_invariant(f, chart.weyl) for f in phis):
-        raise RuntimeError("internal error: lift coefficient is not invariant")
+    for j, (img, p) in enumerate(zip(D.images, chart.generators)):
+        if X.apply_to(p) != img:
+            raise CertificationError("lift_reconstructs", {"index": j})
+    for i, f in enumerate(phis):
+        if not is_invariant(f, chart.weyl):
+            raise CertificationError(
+                "lift_invariant", {"index": i, "coefficient": f.render()}
+            )
     return phis
 
 
 def transition_matrix(chart, local, weyl_a):
-    """Matrix m with grad(p_j) = sum_i m_ij grad(q_i) over the local chart."""
+    """Matrix m with grad(p_j) = sum_i m_ij grad(q_i) over the local chart.
+
+    Each column is a Solomon decomposition, which certifies that it
+    rebuilds grad(p_j); the entries are certified invariant under the
+    local group and det m nonzero at the base point.
+    """
     ell = chart.rank
     m = [[None] * ell for _ in range(ell)]
     for j in range(ell):
         col = solomon_decompose(chart.gradients[j], local, weyl_a)
         for i in range(ell):
             m[i][j] = col[i]
+    for i in range(ell):
+        for j in range(ell):
+            if not is_invariant(m[i][j], weyl_a):
+                raise CertificationError(
+                    "transition_entries_invariant",
+                    {"row": i, "column": j, "entry": m[i][j].render()},
+                )
     det, _ = det_adjugate(m)
     if det.evaluate(local.base_point).is_zero():
-        raise ValueError("transition matrix is singular at the base point")
+        raise CertificationError(
+            "transition_det_nonzero",
+            {
+                "point": render_vector(local.base_point),
+                "det": det.render(),
+            },
+        )
     return m
 
 

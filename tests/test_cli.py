@@ -1,14 +1,16 @@
 """Command-line interface tests.
 
 The CLI is driven in process through main(argv); stdout is captured with
-capsys and parsed back as JSON. One subprocess test covers the module
-entry point from an unrelated working directory; the child gets an
-absolute path to the package under test, since a relative PYTHONPATH
-entry such as "src" would resolve against that directory and miss it.
-Expected polynomial strings come from values derived by hand in the
-lower-level test modules.
+capsys and parsed back as JSON. The subprocess tests (the module entry
+point from an unrelated working directory, and certification failures
+under `python -O`) give the child an absolute path to the package under
+test, since a relative PYTHONPATH entry such as "src" would resolve
+against another working directory and miss it. Expected polynomial
+strings come from values derived by hand in the lower-level test
+modules.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -19,7 +21,8 @@ import pytest
 
 import symcart
 from symcart import cli
-from symcart.exactalg import MultiPoly
+from symcart.exactalg import CertificationError, GaussianRational as Qi, MultiPoly
+from symcart.rootsys import RestrictedRoot, weyl_group
 
 CATALOG_NAMES = ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal"]
 
@@ -110,20 +113,13 @@ def test_weyl_sl2(capsys):
 
 
 def test_permutation_check_reports_a_non_permuting_generator():
-    from symcart.exactalg import GaussianRational as Qi
-    from symcart.liesym import catalog_pair
-    from symcart.rootsys import WeylGroup, restricted_roots, weyl_group
-
-    pair = catalog_pair("sl2-so2")
-    system = restricted_roots(pair)
-    weyl = weyl_group(system, pair.kappa_on_cartan())
-    assert cli._permutation_check(system, weyl) == (True, None)
-    doubling = [[Qi(2)]]
-    bad = WeylGroup(1, [doubling], [[[Qi(1)]], doubling], weyl.kappa_on_a)
-    ok, witness = cli._permutation_check(system, bad)
-    assert not ok
-    assert witness["matrix"] == [["2"]]
-    assert witness["functional"] in (["2"], ["-2"])
+    # the reflection in 1 (and in 2) is x -> -x, which sends {1, 2} to
+    # {-1, -2}: not a permutation of the roots
+    roots = [RestrictedRoot([Qi(1)], 1), RestrictedRoot([Qi(2)], 1)]
+    with pytest.raises(CertificationError) as info:
+        weyl_group(roots, [[Qi(1)]])
+    assert info.value.name == "weyl_permutes_roots"
+    assert info.value.witness == {"matrix": [["-1"]], "functional": ["1"]}
 
 
 def test_generators_sl3(capsys):
@@ -382,7 +378,7 @@ def test_report_echoes_command_and_inputs(capsys):
     assert report["inputs"]["derivation"] == ["x0^2"]
 
 
-def test_module_entry_point(tmp_path):
+def _child_env():
     # the imported symcart first, then the inherited entries made absolute
     package_root = Path(symcart.__file__).resolve().parent.parent
     inherited = [
@@ -392,13 +388,117 @@ def test_module_entry_point(tmp_path):
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(package_root)] + inherited)
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "symcart.cli", "catalog"],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     parsed = json.loads(proc.stdout)
     assert [e["name"] for e in parsed["results"]["pairs"]] == CATALOG_NAMES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--pair", "sl2-so2", "--field", '["x0^33"]'],
+        ["decompose", "--pair", "sl2-so2", "--field", '["x0^3201"]'],
+        ["lift", "--pair", "sl2-so2", "--derivation", '["x0^20*x0^14"]'],
+    ],
+)
+def test_input_degree_bound(argv, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ran algebra on an over-degree input")
+
+    for name in ("solomon_decompose", "InvariantDerivation", "lift_derivation"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, report = run_json(argv, capsys)
+    assert code == 3
+    assert "above the bound 32" in report["error"]["message"]
+
+
+# Each mutant breaks one library certification; the source runs with
+# `setattr` bound to monkeypatch.setattr in process and to the builtin
+# in a child process.
+MUTANTS = {
+    "gram_identity": (
+        ["phi", "--pair", "sl2-so2"],
+        "import symcart.invariants as m\n"
+        "setattr(m, 'poly_divides', lambda f, p: None)",
+        {"gram_det": "(2)*x0^2", "phi": "(-4)*x0^2"},
+    ),
+    "root_bookkeeping": (
+        ["roots", "--pair", "sl2-so2"],
+        "import symcart.rootsys as m\n"
+        "joint = m._joint_decomposition\n"
+        "def over(*args):\n"
+        "    out = joint(*args)\n"
+        "    return out and (out[0], out[1] + 1)\n"
+        "setattr(m, '_joint_decomposition', over)",
+        {"dim_g": 3, "zero_dim": 2, "centralizer_dim": 1, "multiplicity_sum": 2},
+    ),
+}
+
+
+def _check_failure_report(code, report, name, witness):
+    assert code == 2
+    assert report["results"] is None
+    assert report["checks"] == [{"name": name, "passed": False, "witness": witness}]
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_certification_failure_is_reported(name, capsys, monkeypatch):
+    argv, source, witness = MUTANTS[name]
+    exec(source, {"setattr": monkeypatch.setattr})
+    code, report = run_json(argv, capsys)
+    _check_failure_report(code, report, name, witness)
+    assert report["command"] == argv[0]
+    assert report["inputs"]["pair"] == argv[2]
+
+    # under -O, where an assert would have been stripped
+    program = f"{source}\nfrom symcart.cli import main\nraise SystemExit(main({argv!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    _check_failure_report(proc.returncode, json.loads(proc.stdout), name, witness)
+
+
+def test_every_certification_has_one_raise_site():
+    sites = {}
+    for path in sorted(Path(symcart.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            assert not isinstance(node, ast.Assert), where
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            kind = getattr(exc, "id", None)
+            assert kind not in ("AssertionError", "RuntimeError"), where
+            if kind == "CertificationError":
+                name = node.exc.args[0]
+                assert isinstance(name, ast.Constant), where
+                sites.setdefault(name.value, []).append(where)
+    assert {n: w for n, w in sites.items() if len(w) != 1} == {}
+    # every check the CLI renders as certified has its library site
+    assert {
+        "root_bookkeeping",
+        "weyl_permutes_roots",
+        "degrees_product",
+        "jacobian_nonzero",
+        "gram_identity",
+        "gram_constant_nonzero",
+        "reconstruction_exact",
+        "factorization_exact",
+        "local_value_nonzero",
+        "transition_entries_invariant",
+        "transition_det_nonzero",
+    } <= set(sites)

@@ -128,6 +128,14 @@ def test_poly_compose_and_evaluate_agree():
         assert comp.evaluate(pt) == f.evaluate(inner)
 
 
+def test_compose_high_power_without_recursion():
+    # the powers of each substitution are built iteratively, so an
+    # exponent beyond the recursion limit composes normally
+    x = MultiPoly.variable(1, 0)
+    assert (x**3000).compose_linear([[Qi(-1)]]) == x**3000
+    assert (x**3001).compose_linear([[Qi(-1)]]) == -(x**3001)
+
+
 def test_homogeneous_components_sum_back():
     rng = random.Random(13)
     f = _rand_poly(rng, 3, 5)
