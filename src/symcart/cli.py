@@ -27,7 +27,6 @@ from .exactalg import (
     CertificationError,
     GaussianRational as Qi,
     MultiPoly,
-    det_adjugate,
     parse_scalar,
     render_matrix,
     render_scalar,
@@ -243,7 +242,8 @@ def _regular_point(chart, points):
 def _slice(chart, point):
     """Local chart and transition matrix at one base point."""
     loc = _guard(local_chart, chart.system, chart.weyl, chart, point)
-    return loc, transition_matrix(chart, loc, loc.weyl)
+    m, det = transition_matrix(chart, loc, loc.weyl)
+    return loc, m, det
 
 
 def _jet_checks(chart, rng, samples, action_samples):
@@ -523,8 +523,7 @@ def _cmd_slice(args, inputs):
     pair = _pair_from_args(args)
     chart = _guard(build_chart, pair, seed=args.seed)
     inputs["point"], point = _parse_point(args.point, chart.weyl.dim)
-    loc, m = _slice(chart, point)
-    det, _ = det_adjugate(m)
+    loc, m, det = _slice(chart, point)
     results = {
         "pair": pair.name,
         "point": render_vector(point),

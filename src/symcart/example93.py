@@ -5,6 +5,7 @@ the claimed property from the structural definitions instead of trusting
 the transcription.
 """
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -209,6 +210,8 @@ def _check_orthogonality(v):
     return True, "v is trace-orthogonal to a"
 
 
+# deterministic (a fixed pair and seed), so one chart build serves every run
+@functools.cache
 def _check_gradient_rank():
     chart = build_chart(catalog_pair("sl3-so21"))
     rng = random.Random(0)

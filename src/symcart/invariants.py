@@ -186,12 +186,24 @@ def gradient(f, kappa_on_a):
 
 
 def _gram(generators, gradients, phi):
+    """Gram matrix A_ij = grad(p_i) . p_j with its adjugate and
+    determinant, certified once per chart: adj(A) A = det(A) I, and
+    det(A) is a nonzero constant multiple c of phi."""
     n = len(generators)
     A = [
         [gradients[i].apply_to(generators[j]) for j in range(n)]
         for i in range(n)
     ]
     det, adj = det_adjugate(A)
+    zero = MultiPoly.zero(det.num_vars)
+    for i in range(n):
+        for j in range(n):
+            entry = sum((adj[i][k] * A[k][j] for k in range(n)), zero)
+            if entry != (det if i == j else zero):
+                raise CertificationError(
+                    "adjugate_identity",
+                    {"row": i, "column": j, "entry": entry.render()},
+                )
     q = poly_divides(det, phi)
     if q is None or q.degree() > 0:
         raise CertificationError(
@@ -228,22 +240,26 @@ class InvariantChart:
         self.kappa_on_a = kappa_on_a
         self.system = system
         self.rank = len(generators)
-        self.base_point = [Qi(0)] * weyl.dim
 
 
 class LocalChart:
     """Chart adapted to a base point: invariants of the vanishing-root
-    subgroup on its span, affine coordinates on the fixed space."""
+    subgroup on its span, affine coordinates on the fixed space.
+
+    Its Gram data ties the local gradients to `phi_a_local` as the
+    global chart's ties its gradients to phi."""
 
     def __init__(self, base_point, local_generators, degrees, gradients,
-                 psi_a, phi_a_local, weyl, kappa_on_a, b_basis, c_basis,
-                 roots_a):
+                 psi_a, phi_a_local, gram, weyl, kappa_on_a, b_basis,
+                 c_basis, roots_a):
         self.base_point = base_point
         self.local_generators = local_generators
         self.degrees = degrees
         self.gradients = gradients
         self.psi_a = psi_a
         self.phi_a_local = phi_a_local
+        (self.gram_matrix, self.gram_adjugate, self.gram_det,
+         self.gram_constant) = gram
         self.weyl = weyl
         self.kappa_on_a = kappa_on_a
         self.b_basis = b_basis
@@ -253,6 +269,10 @@ class LocalChart:
     @property
     def generators(self):
         return self.local_generators
+
+    @property
+    def phi(self):
+        return self.phi_a_local
 
 
 def build_chart(pair, seed=0):
@@ -347,7 +367,8 @@ def local_chart(roots, weyl, chart, a_point):
             {"point": render_vector(pt), "psi": psi.render()},
         )
 
+    gram = _gram(local_x, gradients, phi_local)
     return LocalChart(
-        pt, local_x, degrees, gradients, psi, phi_local, W_a,
+        pt, local_x, degrees, gradients, psi, phi_local, gram, W_a,
         weyl.kappa_on_a, b_basis, c_basis, roots_a
     )

@@ -18,13 +18,7 @@ from .exactalg import (
     render_vector,
     solve_exact,
 )
-from .invariants import (
-    _weighted_products,
-    gradient,
-    invariant_basis,
-    is_invariant,
-    monomials_of_degree,
-)
+from .invariants import _weighted_products, gradient, is_invariant
 
 Qi = GaussianRational
 
@@ -139,74 +133,52 @@ def reynolds_field(weyl, X):
     return acc * Qi(Fraction(1, weyl.order))
 
 
+def _cramer(chart, images):
+    """Coefficients R_i with X = sum R_i grad(p_i), from the images
+    X(p_j), or NotLiftable at the first inexact division.
+
+    X(p_j) = sum_i R_i A_ij for the Gram matrix A, and the chart
+    certified adj(A) A = det(A) I with det(A) = c phi, so R_i is
+    psi_i / phi for psi_i = sum_j adj_ji X(p_j) / c.
+    """
+    adj = chart.gram_adjugate
+    cinv = Qi(1) / chart.gram_constant
+    quotients = []
+    for i in range(len(images)):
+        psi = MultiPoly.zero(chart.weyl.dim)
+        for j, img in enumerate(images):
+            psi = psi + adj[j][i] * img
+        psi = psi * cinv
+        q, r = psi.divmod_by(chart.phi)
+        if not r.is_zero():
+            return NotLiftable(i, psi, r)
+        quotients.append(q)
+    return quotients
+
+
 def solomon_decompose(X, chart, weyl):
     """Unique coefficients R_i with X = sum R_i grad(p_i), R_i invariant.
 
-    Works degree by degree in the chart's shifted variable; each degree
-    is one exact linear solve over invariant-polynomial coefficients.
-    Uniqueness is certified by the kernel being trivial, and the result
-    by rebuilding X from the returned coefficients.
+    Solomon's theorem makes the invariant fields a free module over the
+    invariants with basis grad(p_i), so the Cramer quotients divide
+    exactly; the result is certified by rebuilding X from them.
     """
     if not is_invariant_field(X, weyl):
         raise ValueError("field is not invariant under the chart group")
-    n = X.dim
-    a = chart.base_point
-    shifted = any(not x.is_zero() for x in a)
-    comp_u = [c.shift(a) if shifted else c for c in X.components]
-    grads_u = [
-        [c.shift(a) if shifted else c for c in g.components]
-        for g in chart.gradients
-    ]
-    degs = chart.degrees
-    ell = len(degs)
-    R_u = [MultiPoly.zero(n) for _ in range(ell)]
-    present = sorted({d for c in comp_u for d in c.homogeneous_components()})
-    for d in present:
-        targets = [
-            c.homogeneous_components().get(d, MultiPoly.zero(n))
-            for c in comp_u
-        ]
-        cols = []
-        for j in range(ell):
-            k = d - degs[j] + 1
-            if k < 0:
-                continue
-            for b in invariant_basis(weyl, k):
-                cols.append((j, b))
-        monos = monomials_of_degree(n, d)
-        rhs = []
-        for t in targets:
-            rhs.extend(t.coefficient_vector(monos))
-        colvecs = []
-        for j, b in cols:
-            vec = []
-            for i in range(n):
-                vec.extend((b * grads_u[j][i]).coefficient_vector(monos))
-            colvecs.append(vec)
-        A = [[col[r] for col in colvecs] for r in range(len(rhs))]
-        sol = solve_exact(A, rhs)
-        if sol.particular is None:
-            raise CertificationError("decomposition_consistent", {"degree": d})
-        if sol.kernel:
-            raise CertificationError(
-                "decomposition_unique", {"degree": d, "kernel_dim": len(sol.kernel)}
-            )
-        for coeff, (j, b) in zip(sol.particular, cols):
-            if not coeff.is_zero():
-                R_u[j] = R_u[j] + coeff * b
-    R = [r.shift([-x for x in a]) for r in R_u] if shifted else R_u
-    rebuilt = field_from_coefficients(R, chart)
-    if rebuilt != X:
-        raise CertificationError(
-            "reconstruction_exact",
-            {
-                "difference": [
-                    (p - q).render()
-                    for p, q in zip(rebuilt.components, X.components)
-                ]
-            },
-        )
-    return R
+    R = _cramer(chart, [X.apply_to(p) for p in chart.generators])
+    if isinstance(R, NotLiftable):
+        witness = {"index": R.index, "remainder": R.remainder.render()}
+    else:
+        rebuilt = field_from_coefficients(R, chart)
+        if rebuilt == X:
+            return R
+        witness = {
+            "difference": [
+                (p - q).render()
+                for p, q in zip(rebuilt.components, X.components)
+            ]
+        }
+    raise CertificationError("reconstruction_exact", witness)
 
 
 def field_from_coefficients(coeffs, chart):
@@ -296,29 +268,9 @@ def lift_derivation(D, chart):
     divisibility of each entry by the root product decides liftability.
     """
     _check_images(D, chart)
-    n = chart.rank
-    nvars = chart.weyl.dim
-    adj = chart.gram_adjugate
-    cinv = Qi(1) / chart.gram_constant
-    psi = []
-    for i in range(n):
-        acc = MultiPoly.zero(nvars)
-        for j in range(n):
-            acc = acc + adj[j][i] * D.images[j]
-        psi.append(acc * cinv)
-    for j in range(n):
-        lhs = chart.phi * D.images[j]
-        rhs = MultiPoly.zero(nvars)
-        for i in range(n):
-            rhs = rhs + psi[i] * chart.gram_matrix[i][j]
-        if lhs != rhs:
-            raise CertificationError("adjugate_identity", {"index": j})
-    phis = []
-    for i, s in enumerate(psi):
-        q, r = s.divmod_by(chart.phi)
-        if not r.is_zero():
-            return NotLiftable(i, s, r)
-        phis.append(q)
+    phis = _cramer(chart, D.images)
+    if isinstance(phis, NotLiftable):
+        return phis
     X = field_from_coefficients(phis, chart)
     for j, (img, p) in enumerate(zip(D.images, chart.generators)):
         if X.apply_to(p) != img:
@@ -332,7 +284,8 @@ def lift_derivation(D, chart):
 
 
 def transition_matrix(chart, local, weyl_a):
-    """Matrix m with grad(p_j) = sum_i m_ij grad(q_i) over the local chart.
+    """Matrix m with grad(p_j) = sum_i m_ij grad(q_i) over the local
+    chart, and its determinant.
 
     Each column is a Solomon decomposition, which certifies that it
     rebuilds grad(p_j); the entries are certified invariant under the
@@ -360,7 +313,7 @@ def transition_matrix(chart, local, weyl_a):
                 "det": det.render(),
             },
         )
-    return m
+    return m, det
 
 
 class Jet:

@@ -306,7 +306,7 @@ def test_09_transition_matrix():
         n = chart.weyl.dim
         for pt in _point_classes(name):
             loc = _local(name, pt)
-            m = transition_matrix(chart, loc, loc.weyl)
+            m, _ = transition_matrix(chart, loc, loc.weyl)
             for i in range(n):
                 for j in range(n):
                     for w in loc.weyl.elements:

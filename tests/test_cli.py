@@ -427,6 +427,16 @@ def test_input_degree_bound(argv, capsys, monkeypatch):
 # `setattr` bound to monkeypatch.setattr in process and to the builtin
 # in a child process.
 MUTANTS = {
+    "adjugate_identity": (
+        ["phi", "--pair", "sl2-so2"],
+        "import symcart.invariants as m\n"
+        "det_adjugate = m.det_adjugate\n"
+        "def scaled(M):\n"
+        "    det, adj = det_adjugate(M)\n"
+        "    return det, [[e * 2 for e in row] for row in adj]\n"
+        "setattr(m, 'det_adjugate', scaled)",
+        {"row": 0, "column": 0, "entry": "(4)*x0^2"},
+    ),
     "gram_identity": (
         ["phi", "--pair", "sl2-so2"],
         "import symcart.invariants as m\n"
@@ -490,6 +500,7 @@ def test_every_certification_has_one_raise_site():
     assert {n: w for n, w in sites.items() if len(w) != 1} == {}
     # every check the CLI renders as certified has its library site
     assert {
+        "adjugate_identity",
         "root_bookkeeping",
         "weyl_permutes_roots",
         "degrees_product",

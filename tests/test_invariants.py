@@ -280,3 +280,34 @@ def test_zero_set_matches_root_hyperplanes():
                 for r in system.roots
             )
             assert phi_val.is_zero() == root_vanishes
+
+
+# the CLI's slice points of each catalog pair, with det(local Gram) divided
+# by phi_a_local there
+LOCAL_GRAM_CONSTANTS = {
+    "sl2-so2": [([0], Fraction(-1, 2)), ([1], Fraction(1, 2))],
+    "sl3-so21": [
+        ([0, 0], Fraction(-1, 108)),
+        ([1, 1], Fraction(-1, 12)),
+        ([1, 0], Fraction(-1, 12)),
+    ],
+    "abelian2": [([0, 0], Fraction(1)), ([1, 1], Fraction(1))],
+    "sl2-diagonal": [([0], Fraction(-1, 4)), ([1], Fraction(1, 4))],
+}
+
+
+def test_local_gram_identity_at_slice_points():
+    for name, cases in LOCAL_GRAM_CONSTANTS.items():
+        pair, system, weyl = _setup(name)
+        chart = build_chart(pair)
+        for pt, c in cases:
+            loc = local_chart(system, weyl, chart, [Qi(v) for v in pt])
+            assert loc.gram_constant == Qi(c), (name, pt)
+            assert loc.gram_det == loc.gram_constant * loc.phi_a_local
+            A, adj = loc.gram_matrix, loc.gram_adjugate
+            n = len(A)
+            zero = MultiPoly.zero(weyl.dim)
+            for i in range(n):
+                for j in range(n):
+                    entry = sum((adj[i][k] * A[k][j] for k in range(n)), zero)
+                    assert entry == (loc.gram_det if i == j else zero), (name, pt)

@@ -264,7 +264,7 @@ def test_transition_identity_at_origin():
         chart, system, weyl = _chart(name)
         n = weyl.dim
         loc = local_chart(system, weyl, chart, [Qi(0)] * n)
-        m = transition_matrix(chart, loc, loc.weyl)
+        m, _ = transition_matrix(chart, loc, loc.weyl)
         expected = [
             [MultiPoly.one(n) if i == j else MultiPoly.zero(n) for j in range(n)]
             for i in range(n)
@@ -275,7 +275,7 @@ def test_transition_identity_at_origin():
 def test_transition_regular_sl2_exact():
     chart, system, weyl = _chart("sl2-so2")
     loc = local_chart(system, weyl, chart, [Qi(1)])
-    m = transition_matrix(chart, loc, loc.weyl)
+    m, _ = transition_matrix(chart, loc, loc.weyl)
     # grad q1 is the constant field 1/2, grad p1 = t, so m = (2t)
     t = MultiPoly.variable(1, 0)
     assert m == [[t * 2]]
@@ -292,7 +292,7 @@ def test_transition_three_point_classes():
             points.append([Qi(1), Qi(0)])
         for pt in points:
             loc = local_chart(system, weyl, chart, pt)
-            m = transition_matrix(chart, loc, loc.weyl)
+            m, _ = transition_matrix(chart, loc, loc.weyl)
             for j in range(n):
                 rebuilt = PolyVectorField.zero(n)
                 for i in range(n):
