@@ -283,7 +283,8 @@ def test_zero_set_matches_root_hyperplanes():
 
 
 # the CLI's slice points of each catalog pair, with det(local Gram) divided
-# by phi_a_local there
+# by phi_a_local there; local_chart itself certifies det = c * phi_a_local
+# and adj(A) A = det(A) I, so only the constants are checked here
 LOCAL_GRAM_CONSTANTS = {
     "sl2-so2": [([0], Fraction(-1, 2)), ([1], Fraction(1, 2))],
     "sl3-so21": [
@@ -303,11 +304,3 @@ def test_local_gram_identity_at_slice_points():
         for pt, c in cases:
             loc = local_chart(system, weyl, chart, [Qi(v) for v in pt])
             assert loc.gram_constant == Qi(c), (name, pt)
-            assert loc.gram_det == loc.gram_constant * loc.phi_a_local
-            A, adj = loc.gram_matrix, loc.gram_adjugate
-            n = len(A)
-            zero = MultiPoly.zero(weyl.dim)
-            for i in range(n):
-                for j in range(n):
-                    entry = sum((adj[i][k] * A[k][j] for k in range(n)), zero)
-                    assert entry == (loc.gram_det if i == j else zero), (name, pt)
