@@ -242,7 +242,7 @@ def _regular_point(chart, points):
 def _slice(chart, point):
     """Local chart and transition matrix at one base point."""
     loc = _guard(local_chart, chart.system, chart.weyl, chart, point)
-    m, det = transition_matrix(chart, loc, loc.weyl)
+    m, det = transition_matrix(chart, loc)
     return loc, m, det
 
 
@@ -296,11 +296,12 @@ def _jet_checks(chart, rng, samples, action_samples):
     return checks
 
 
-def _pair_battery(pair, seed):
-    """All per-pair verification checks, sampled deterministically."""
+def _pair_battery(pair, args):
+    """All per-pair verification checks, sampled deterministically from
+    the `--seed` in `args`."""
     S = _VERIFY_SAMPLES
-    rng = random.Random(f"{seed}:{pair.name}")
-    chart = _guard(build_chart, pair, seed=seed)
+    rng = random.Random(f"{args.seed}:{pair.name}")
+    chart = _guard(build_chart, pair)
     weyl = chart.weyl
     n = weyl.dim
     # SymmetricPair certified the structure; restricted_roots, weyl_group,
@@ -317,7 +318,7 @@ def _pair_battery(pair, seed):
     # each decomposition certifies that its coefficients rebuild the field
     for _ in range(S["fields"]):
         X = _random_invariant_field(rng, weyl, S["field_degree"])
-        solomon_decompose(X, chart, weyl)
+        solomon_decompose(X, chart)
     checks += _certified("solomon_roundtrip")
 
     stab_ok, stab_wit = True, None
@@ -401,7 +402,7 @@ def _cmd_catalog(args, inputs):
 
 def _cmd_roots(args, inputs):
     pair = _pair_from_args(args)
-    system = _guard(restricted_roots, pair, seed=args.seed)
+    system = _guard(restricted_roots, pair)
     results = {
         "pair": pair.name,
         "rank": system.rank,
@@ -421,7 +422,7 @@ def _cmd_roots(args, inputs):
 
 def _cmd_weyl(args, inputs):
     pair = _pair_from_args(args)
-    system = _guard(restricted_roots, pair, seed=args.seed)
+    system = _guard(restricted_roots, pair)
     W = _guard(weyl_group, system, pair.kappa_on_cartan())
     results = {
         "pair": pair.name,
@@ -434,7 +435,7 @@ def _cmd_weyl(args, inputs):
 
 def _cmd_generators(args, inputs):
     pair = _pair_from_args(args)
-    chart = _guard(build_chart, pair, seed=args.seed)
+    chart = _guard(build_chart, pair)
     results = {
         "pair": pair.name,
         "generators": [_rpoly(p) for p in chart.generators],
@@ -447,7 +448,7 @@ def _cmd_generators(args, inputs):
 
 def _cmd_phi(args, inputs):
     pair = _pair_from_args(args)
-    chart = _guard(build_chart, pair, seed=args.seed)
+    chart = _guard(build_chart, pair)
     results = {
         "pair": pair.name,
         "phi": _rpoly(chart.phi),
@@ -464,10 +465,10 @@ def _cmd_decompose(args, inputs):
     if args.field is None:
         raise InputError("decompose requires --field")
     pair = _pair_from_args(args)
-    chart = _guard(build_chart, pair, seed=args.seed)
+    chart = _guard(build_chart, pair)
     n = chart.weyl.dim
     inputs["field"], polys = _parse_poly_array(args.field, "field", n, n)
-    coeffs = _guard(solomon_decompose, PolyVectorField(polys), chart, chart.weyl)
+    coeffs = _guard(solomon_decompose, PolyVectorField(polys), chart)
     results = {"pair": pair.name, "coefficients": [_rpoly(c) for c in coeffs]}
     return _report("decompose", inputs, results, _certified("reconstruction_exact"))
 
@@ -476,7 +477,7 @@ def _cmd_lift(args, inputs):
     if args.derivation is None:
         raise InputError("lift requires --derivation")
     pair = _pair_from_args(args)
-    chart = _guard(build_chart, pair, seed=args.seed)
+    chart = _guard(build_chart, pair)
     n = chart.weyl.dim
     inputs["derivation"], images = _parse_poly_array(
         args.derivation, "derivation", chart.rank, n
@@ -521,7 +522,7 @@ def _cmd_slice(args, inputs):
     if args.point is None:
         raise InputError("slice requires --point")
     pair = _pair_from_args(args)
-    chart = _guard(build_chart, pair, seed=args.seed)
+    chart = _guard(build_chart, pair)
     inputs["point"], point = _parse_point(args.point, chart.weyl.dim)
     loc, m, det = _slice(chart, point)
     results = {
@@ -555,7 +556,7 @@ def _cmd_verify(args, inputs):
         return _report("verify", inputs, results, _example93_checks(rep))
     if args.pair or args.pair_file:
         pair = _pair_from_args(args)
-        results, checks = _pair_battery(pair, args.seed)
+        results, checks = _pair_battery(pair, args)
         return _report("verify", inputs, results, checks)
 
     # no pair: every catalog entry plus the worked example and its controls
@@ -563,7 +564,7 @@ def _cmd_verify(args, inputs):
     summaries = {}
     for pair in catalog():
         try:
-            res, pair_checks = _pair_battery(pair, args.seed)
+            res, pair_checks = _pair_battery(pair, args)
         except CertificationError as e:
             e.name = f"{pair.name}:{e.name}"
             raise

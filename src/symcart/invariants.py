@@ -276,8 +276,13 @@ class LocalChart:
 
 
 def build_chart(pair, seed=0):
-    """Assemble the invariant chart of a pair from its restricted roots."""
-    system = restricted_roots(pair, seed=seed)
+    """Assemble the invariant chart of a pair from its restricted roots.
+
+    The chart is seed-free. `seed` is accepted and ignored only because
+    the benchmark scripts `perfbench/run.py` and `perfbench/record.py`
+    pass one.
+    """
+    system = restricted_roots(pair)
     K = pair.kappa_on_cartan()
     weyl = weyl_group(system, K)
     generators, degrees = invariant_generators(weyl)

@@ -9,7 +9,6 @@ every structural identity on the nose.
 from __future__ import annotations
 
 import functools
-import random
 from fractions import Fraction
 
 from .exactalg import (
@@ -172,7 +171,7 @@ class SymmetricPair:
     eigenvector, giving the h/q index split directly.
     """
 
-    def __init__(self, algebra, sigma, kappa, name="", cartan=None, seed=0):
+    def __init__(self, algebra, sigma, kappa, name="", cartan=None):
         n = algebra.dim
         for what, rows in (("sigma", sigma), ("kappa", kappa)):
             if not _is_square(rows, n):
@@ -243,7 +242,7 @@ class SymmetricPair:
             cartan = None
         self.cartan = cartan
         if cartan is not None:
-            _validate_cartan(self, cartan, seed)
+            _validate_cartan(self, cartan)
 
     def kappa_form(self, x, y):
         x = _vec(x)
@@ -267,11 +266,7 @@ class SymmetricPair:
         return self.gram(self.cartan.basis)
 
 
-def _min_poly_of_ad(pair, point):
-    return matrix_min_poly(pair.algebra.ad(point))
-
-
-def _validate_cartan(pair, cart, seed=0):
+def _validate_cartan(pair, cart):
     alg = pair.algebra
     n = alg.dim
     if any(len(v) != n for v in cart.basis):
@@ -287,23 +282,20 @@ def _validate_cartan(pair, cart, seed=0):
         for j in range(i + 1, cart.rank):
             if not _is_zero_vec(alg.bracket(cart.basis[i], cart.basis[j])):
                 raise ValueError(f"Cartan subspace is not abelian: basis pair ({i}, {j})")
-    for i, v in enumerate(cart.basis):
-        if not univ_is_squarefree(_min_poly_of_ad(pair, v)):
+    ads = [alg.ad(v) for v in cart.basis]
+    for i, A in enumerate(ads):
+        if not univ_is_squarefree(matrix_min_poly(A)):
             raise ValueError(f"Cartan basis vector {i} is not semisimple")
-    # maximality: at a generic point the centralizer in q collapses to a
-    rng = random.Random(seed)
-    for _ in range(12):
-        coords = [rng.randint(-9, 9) for _ in range(cart.rank)]
-        x0 = cart.embed(coords)
-        if not univ_is_squarefree(_min_poly_of_ad(pair, x0)):
-            continue
-        q_a, _ = centralizer_in_q(pair, x0)
-        if len(q_a) == cart.rank and all(span.contains(v) for v in q_a):
-            return
-    raise ValueError(
-        "Cartan subspace is not maximal abelian: "
-        "its centralizer in q exceeds it at every sampled point"
-    )
+    # maximality: the centralizer of a in q is the common kernel of the
+    # ad(a_i) on q; it contains a, so it must not be larger
+    qb = pair.q_basis
+    rows = [[A[r][j] for j in qb] for A in ads for r in range(n)]
+    c_dim = len(kernel_basis(rows))
+    if c_dim != cart.rank:
+        raise ValueError(
+            "Cartan subspace is not maximal abelian: its centralizer in q "
+            f"has dimension {c_dim}, above its rank {cart.rank}"
+        )
 
 
 def centralizer_in_q(pair, a_point):
@@ -312,14 +304,14 @@ def centralizer_in_q(pair, a_point):
     a_point = _vec(a_point)
     alg = pair.algebra
     n = alg.dim
-    mp = _min_poly_of_ad(pair, a_point)
+    A = alg.ad(a_point)
+    mp = matrix_min_poly(A)
     if not univ_is_squarefree(mp):
         rep = univ_gcd(mp, univ_derivative(mp))
         raise ValueError(
             "a_point is not semisimple: minimal polynomial of ad has "
             f"repeated factor {_render_univ(rep)}"
         )
-    A = alg.ad(a_point)
     qb = pair.q_basis
     M = [[A[r][j] for j in qb] for r in range(n)]
     q_a = []
@@ -372,7 +364,7 @@ def _trace_prod(x, y):
     return acc
 
 
-def _pair_from_matrices(name, h_mats, q_mats, cartan_coords, seed=0):
+def _pair_from_matrices(name, h_mats, q_mats, cartan_coords):
     """Assemble a SymmetricPair from a faithful matrix representation;
     kappa is the trace form, sigma is +1 on h_mats and -1 on q_mats."""
     mats = [_mtx(m) for m in h_mats] + [_mtx(m) for m in q_mats]
@@ -405,7 +397,7 @@ def _pair_from_matrices(name, h_mats, q_mats, cartan_coords, seed=0):
     ]
     kappa = [[_trace_prod(mats[i], mats[j]) for j in range(dim)] for i in range(dim)]
     cartan = CartanSubspace(cartan_coords)
-    return SymmetricPair(algebra, sigma, kappa, name=name, cartan=cartan, seed=seed)
+    return SymmetricPair(algebra, sigma, kappa, name=name, cartan=cartan)
 
 
 def _build_sl2_so2():

@@ -8,7 +8,6 @@ leaves Q(i) is refused rather than approximated.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .exactalg import (
@@ -23,9 +22,7 @@ from .exactalg import (
     mat_vec,
     matrix_min_poly,
     render_matrix,
-    render_scalar,
     render_vector,
-    univ_is_squarefree,
 )
 from .liesym import _vec
 
@@ -68,6 +65,12 @@ class WeylGroup:
     def contains(self, m):
         return _mat_key(m) in self._keys
 
+    def __eq__(self, other):
+        # the same elements make the same group, built once or twice
+        if not isinstance(other, WeylGroup):
+            return NotImplemented
+        return self._keys == other._keys
+
 
 def reduced_subset(functionals):
     """Flag each functional whose half is not itself in the set."""
@@ -80,111 +83,87 @@ def reduced_subset(functionals):
     return flags
 
 
-def restricted_roots(pair, cartan=None, seed=0):
+def restricted_roots(pair, cartan=None):
     """Joint-eigenspace decomposition of g under ad of the Cartan subspace.
 
-    A single generic rational point drives the computation; the point is
-    re-drawn until every ad(a_i) acts by a scalar on each of its
-    eigenspaces, which certifies genuine joint eigenspaces.
+    The ad(a_i) of the Cartan basis commute and are diagonalisable, so g
+    splits one basis vector at a time: every current block is cut into the
+    kernels of ad(a_i) - lambda, for lambda over the roots of the minimal
+    polynomial of ad(a_i). The final blocks are the joint eigenspaces, and
+    their eigenvalue tuples are the root functionals.
     """
     cart = cartan if cartan is not None else pair.cartan
     if cart is None:
         raise ValueError("pair has no Cartan subspace attached")
     alg = pair.algebra
     n = alg.dim
-    rank = cart.rank
     ads = [alg.ad(v) for v in cart.basis]
     z_dim = len(kernel_basis([row for A in ads for row in A]))
+    roots, zero_dim = _joint_eigenspaces(ads, n)
+    total = sum(m for _, m in roots)
+    if not zero_dim == z_dim == n - total:
+        raise CertificationError(
+            "root_bookkeeping",
+            {
+                "dim_g": n,
+                "zero_dim": zero_dim,
+                "centralizer_dim": z_dim,
+                "multiplicity_sum": total,
+            },
+        )
+    flags = reduced_subset([f for f, _ in roots])
+    mults = {tuple((x.real, x.imag) for x in f): m for f, m in roots}
+    for f, m in roots:
+        neg = tuple(((-x).real, (-x).imag) for x in f)
+        if mults.get(neg) != m:
+            raise CertificationError(
+                "roots_symmetric",
+                {"functional": render_vector(f), "multiplicity": m},
+            )
+    out = [
+        RestrictedRoot(list(f), m, flag)
+        for (f, m), flag in zip(roots, flags)
+    ]
+    out.sort(key=lambda r: tuple((x.real, x.imag) for x in r.functional))
+    return RestrictedRootSystem(out, cart.rank, zero_dim)
 
-    rng = random.Random(seed)
-    for _ in range(24):
-        coords = [Qi(rng.randint(-5, 5)) for _ in range(rank)]
-        if all(c.is_zero() for c in coords):
-            continue
-        A0 = [[Qi(0)] * n for _ in range(n)]
-        for c, A in zip(coords, ads):
-            if c.is_zero():
-                continue
-            for r in range(n):
-                for s in range(n):
-                    if not A[r][s].is_zero():
-                        A0[r][s] = A0[r][s] + c * A[r][s]
-        mp = matrix_min_poly(A0)
-        if not univ_is_squarefree(mp):
-            continue
-        eigs, split = gaussian_rational_roots(mp)
+
+def _joint_eigenspaces(ads, n):
+    """(functional, multiplicity) for each joint eigenspace of the ads
+    with a nonzero functional, and the dimension of the zero one."""
+    blocks = [((), mat_identity(n))]  # eigenvalues so far, block basis
+    for A in ads:
+        eigs, split = gaussian_rational_roots(matrix_min_poly(A))
         if not split:
             raise SpectrumError(
                 "restricted roots lie outside Q(i); pair unsupported"
             )
-        decomposition = _joint_decomposition(A0, ads, eigs, coords, n)
-        if decomposition is None:
-            continue
-        roots, zero_dim = decomposition
-        total = sum(m for _, m in roots)
-        if not zero_dim == z_dim == n - total:
-            raise CertificationError(
-                "root_bookkeeping",
-                {
-                    "dim_g": n,
-                    "zero_dim": zero_dim,
-                    "centralizer_dim": z_dim,
-                    "multiplicity_sum": total,
-                },
-            )
-        flags = reduced_subset([f for f, _ in roots])
-        mults = {tuple((x.real, x.imag) for x in f): m for f, m in roots}
-        for f, m in roots:
-            neg = tuple(((-x).real, (-x).imag) for x in f)
-            if mults.get(neg) != m:
-                raise CertificationError(
-                    "roots_symmetric",
-                    {"functional": render_vector(f), "multiplicity": m},
-                )
-        out = [
-            RestrictedRoot(list(f), m, flag)
-            for (f, m), flag in zip(roots, flags)
-        ]
-        out.sort(key=lambda r: tuple((x.real, x.imag) for x in r.functional))
-        return RestrictedRootSystem(out, rank, zero_dim)
-    raise ValueError("no generic point found in the Cartan subspace")
-
-
-def _joint_decomposition(A0, ads, eigs, coords, n):
+        finer = []
+        for func, basis in blocks:
+            images = [mat_vec(A, v) for v in basis]
+            for lam in eigs:
+                # coordinates u with (A - lam) sum_k u_k basis_k = 0
+                M = [
+                    [w[r] - lam * v[r] for v, w in zip(basis, images)]
+                    for r in range(n)
+                ]
+                sub = [
+                    [
+                        sum((u_k * v[r] for u_k, v in zip(u, basis)), Qi(0))
+                        for r in range(n)
+                    ]
+                    for u in kernel_basis(M)
+                ]
+                if sub:
+                    finer.append((func + (lam,), sub))
+        blocks = finer
     roots = []
     zero_dim = 0
-    for lam in eigs:
-        M = [
-            [A0[r][s] - (lam if r == s else Qi(0)) for s in range(n)]
-            for r in range(n)
-        ]
-        E = kernel_basis(M)
-        func = []
-        for A in ads:
-            mu = None
-            for v in E:
-                w = mat_vec(A, v)
-                t = next(i for i, x in enumerate(v) if not x.is_zero())
-                ratio = w[t] / v[t]
-                if w != [ratio * x for x in v]:
-                    return None  # eigenspace not joint: point not generic
-                if mu is None:
-                    mu = ratio
-                elif mu != ratio:
-                    return None
-            func.append(mu if mu is not None else Qi(0))
-        if sum((f * c for f, c in zip(func, coords)), Qi(0)) != lam:
-            raise CertificationError(
-                "root_eigenvalue",
-                {
-                    "eigenvalue": render_scalar(lam),
-                    "functional": render_vector(func),
-                },
-            )
+    for func, basis in blocks:
         if all(f.is_zero() for f in func):
-            zero_dim += len(E)
+            zero_dim += len(basis)
         else:
-            roots.append((tuple(func), len(E)))
+            roots.append((func, len(basis)))
     return roots, zero_dim
 
 

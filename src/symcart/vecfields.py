@@ -84,13 +84,19 @@ class PolyVectorField:
 
 
 class InvariantDerivation:
-    """Derivation of the invariant algebra, recorded by generator images."""
+    """Derivation of the invariant algebra, recorded by generator images
+    and certified invariant under the group it is built for."""
 
-    def __init__(self, images, weyl=None):
+    def __init__(self, images, weyl):
         self.images = list(images)
-        if weyl is not None:
-            if not all(is_invariant(img, weyl) for img in self.images):
+        if len(self.images) != weyl.dim:
+            raise ValueError("one image per generator is required")
+        for img in self.images:
+            if img.num_vars != weyl.dim:
+                raise ValueError("image variable count does not match the chart")
+            if not is_invariant(img, weyl):
                 raise ValueError("derivation image is not invariant")
+        self.weyl = weyl
 
 
 @dataclass
@@ -156,14 +162,14 @@ def _cramer(chart, images):
     return quotients
 
 
-def solomon_decompose(X, chart, weyl):
+def solomon_decompose(X, chart):
     """Unique coefficients R_i with X = sum R_i grad(p_i), R_i invariant.
 
     Solomon's theorem makes the invariant fields a free module over the
     invariants with basis grad(p_i), so the Cramer quotients divide
     exactly; the result is certified by rebuilding X from them.
     """
-    if not is_invariant_field(X, weyl):
+    if not is_invariant_field(X, chart.weyl):
         raise ValueError("field is not invariant under the chart group")
     R = _cramer(chart, [X.apply_to(p) for p in chart.generators])
     if isinstance(R, NotLiftable):
@@ -199,13 +205,8 @@ def induce_derivation(coeffs, chart):
 
 
 def _check_images(D, chart):
-    if len(D.images) != chart.rank:
-        raise ValueError("one image per generator is required")
-    for img in D.images:
-        if img.num_vars != chart.weyl.dim:
-            raise ValueError("image variable count does not match the chart")
-        if not is_invariant(img, chart.weyl):
-            raise ValueError("derivation image is not invariant")
+    if D.weyl != chart.weyl:
+        raise ValueError("derivation is certified for another group than the chart's")
 
 
 def _phi_in_generators(chart):
@@ -283,7 +284,7 @@ def lift_derivation(D, chart):
     return phis
 
 
-def transition_matrix(chart, local, weyl_a):
+def transition_matrix(chart, local):
     """Matrix m with grad(p_j) = sum_i m_ij grad(q_i) over the local
     chart, and its determinant.
 
@@ -294,12 +295,12 @@ def transition_matrix(chart, local, weyl_a):
     ell = chart.rank
     m = [[None] * ell for _ in range(ell)]
     for j in range(ell):
-        col = solomon_decompose(chart.gradients[j], local, weyl_a)
+        col = solomon_decompose(chart.gradients[j], local)
         for i in range(ell):
             m[i][j] = col[i]
     for i in range(ell):
         for j in range(ell):
-            if not is_invariant(m[i][j], weyl_a):
+            if not is_invariant(m[i][j], local.weyl):
                 raise CertificationError(
                     "transition_entries_invariant",
                     {"row": i, "column": j, "entry": m[i][j].render()},

@@ -253,7 +253,7 @@ def test_05_solomon_decomposition():
         for k in range(50):
             comps = [rand_poly(rng, n, 8) for _ in range(n)]
             X = PolyVectorField(average_field(comps, weyl))
-            coeffs = solomon_decompose(X, chart, weyl)
+            coeffs = solomon_decompose(X, chart)
             assert field_from_coefficients(coeffs, chart) == X, (name, k)
             for c in coeffs:
                 assert average_poly(c, weyl) == c, (name, k)
@@ -306,7 +306,7 @@ def test_09_transition_matrix():
         n = chart.weyl.dim
         for pt in _point_classes(name):
             loc = _local(name, pt)
-            m, _ = transition_matrix(chart, loc, loc.weyl)
+            m, _ = transition_matrix(chart, loc)
             for i in range(n):
                 for j in range(n):
                     for w in loc.weyl.elements:

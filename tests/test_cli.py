@@ -446,11 +446,11 @@ MUTANTS = {
     "root_bookkeeping": (
         ["roots", "--pair", "sl2-so2"],
         "import symcart.rootsys as m\n"
-        "joint = m._joint_decomposition\n"
+        "joint = m._joint_eigenspaces\n"
         "def over(*args):\n"
-        "    out = joint(*args)\n"
-        "    return out and (out[0], out[1] + 1)\n"
-        "setattr(m, '_joint_decomposition', over)",
+        "    roots, zero_dim = joint(*args)\n"
+        "    return roots, zero_dim + 1\n"
+        "setattr(m, '_joint_eigenspaces', over)",
         {"dim_g": 3, "zero_dim": 2, "centralizer_dim": 1, "multiplicity_sum": 2},
     ),
 }

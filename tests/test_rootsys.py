@@ -1,10 +1,15 @@
+import functools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 
 from _oracles import SL3_ROOT_SET, matrix_key, same_span, sl3_weyl_matrices_by_weight_permutations
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import mat_vec
+from symcart.invariants import build_chart
 from symcart.liesym import catalog, catalog_pair, load_pair
 from symcart.rootsys import (
     SpectrumError,
@@ -187,3 +192,49 @@ def test_spectrum_outside_qi_is_refused():
     pair = load_pair(definition)
     with pytest.raises(SpectrumError, match="pair unsupported"):
         restricted_roots(pair)
+
+
+@functools.cache
+def _sl4_so4():
+    path = Path(__file__).parent / "fixtures" / "sl4-so4.json"
+    return load_pair(json.loads(path.read_text()))
+
+
+def test_sl4_so4_fixture_chart():
+    chart = build_chart(_sl4_so4())
+    system = chart.system
+    assert len(system.roots) == 12
+    assert all(r.multiplicity == 1 and r.is_reduced for r in system.roots)
+    assert system.zero_dim == 3
+    assert chart.weyl.order == 24
+    assert list(chart.degrees) == [2, 3, 4]
+    assert chart.gram_constant == Qi(1)
+
+
+def _to_sympy(x):
+    return sympy.Rational(x.real) + sympy.I * sympy.Rational(x.imag)
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", "sl4-so4"]
+)
+def test_roots_match_sympy_eigenvectors_at_a_fixed_point(name):
+    # at c with distinct root values, the eigenspaces of ad(c) are the
+    # joint eigenspaces, so sympy's spectrum is an independent oracle
+    pair = _sl4_so4() if name == "sl4-so4" else catalog_pair(name)
+    system = restricted_roots(pair)
+    c = [Qi(10**k) for k in range(system.rank)]
+    expected = {}
+    for r in system.roots:
+        value = _to_sympy(sum((f * x for f, x in zip(r.functional, c)), Qi(0)))
+        assert value != 0 and value not in expected, (name, value)
+        expected[value] = r.multiplicity
+    expected[sympy.Integer(0)] = system.zero_dim
+    ad = pair.algebra.ad(pair.cartan.embed(c))
+    found = {}
+    for value, alg_mult, vectors in sympy.Matrix(
+        [[_to_sympy(x) for x in row] for row in ad]
+    ).eigenvects():
+        assert alg_mult == len(vectors), (name, value)
+        found[sympy.expand(value)] = len(vectors)
+    assert found == expected

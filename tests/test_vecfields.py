@@ -126,23 +126,23 @@ def test_generator_checks_agree_with_elementwise_oracles():
 def test_solomon_basic_cases():
     chart, _, weyl = _chart("sl3-so21")
     zero = PolyVectorField.zero(2)
-    assert solomon_decompose(zero, chart, weyl) == [
+    assert solomon_decompose(zero, chart) == [
         MultiPoly.zero(2),
         MultiPoly.zero(2),
     ]
-    R = solomon_decompose(chart.gradients[1], chart, weyl)
+    R = solomon_decompose(chart.gradients[1], chart)
     assert R == [MultiPoly.zero(2), MultiPoly.one(2)]
 
     chart, _, weyl = _chart("sl2-so2")
     # p1 = t^2 makes its gradient the Euler field itself
-    R = solomon_decompose(_euler(1), chart, weyl)
+    R = solomon_decompose(_euler(1), chart)
     assert R == [MultiPoly.one(1)]
 
 
 def test_solomon_rejects_noninvariant_field():
     chart, _, weyl = _chart("sl2-so2")
     with pytest.raises(ValueError, match="invariant"):
-        solomon_decompose(PolyVectorField([MultiPoly.one(1)]), chart, weyl)
+        solomon_decompose(PolyVectorField([MultiPoly.one(1)]), chart)
 
 
 def test_solomon_round_trip_on_averaged_fields():
@@ -153,7 +153,7 @@ def test_solomon_round_trip_on_averaged_fields():
         for _ in range(12):
             raw = [rand_poly(rng, n, 6) for _ in range(n)]
             X = PolyVectorField(average_field(raw, weyl))
-            R = solomon_decompose(X, chart, weyl)
+            R = solomon_decompose(X, chart)
             rebuilt = PolyVectorField.zero(n)
             for r, g in zip(R, chart.gradients):
                 rebuilt = rebuilt + r * g
@@ -171,7 +171,7 @@ def test_solomon_recovers_invariant_coefficients():
             X = PolyVectorField.zero(weyl.dim)
             for f, g in zip(phis, chart.gradients):
                 X = X + f * g
-            assert solomon_decompose(X, chart, weyl) == phis
+            assert solomon_decompose(X, chart) == phis
 
 
 def test_derivation_images_must_be_invariant():
@@ -183,6 +183,28 @@ def test_derivation_images_must_be_invariant():
     D = induce_derivation([_rand_invariant(rng, weyl, 3)], chart)
     for img in D.images:
         assert average_poly(img, weyl) == img
+
+
+def test_derivation_is_certified_once_for_its_group():
+    chart, system, weyl = _chart("sl2-so2")
+    t = MultiPoly.variable(1, 0)
+    with pytest.raises(ValueError, match="one image per generator"):
+        InvariantDerivation([t * t, t * t], weyl)
+    with pytest.raises(ValueError, match="variable count"):
+        InvariantDerivation([MultiPoly.one(2)], weyl)
+    # an equal group built separately is accepted, another group is not
+    D = InvariantDerivation([t * t], weyl)
+    assert D.weyl is weyl and weyl is not chart.weyl
+    assert lift_derivation(D, chart) == [
+        MultiPoly.constant(1, Qi(Fraction(1, 2)))
+    ]
+    # the local group at a regular point is trivial, so t is invariant
+    trivial = local_chart(system, weyl, chart, [Qi(1)]).weyl
+    assert trivial.order == 1 and trivial != chart.weyl
+    D = InvariantDerivation([t], trivial)
+    for check in (ideal_stable, lift_derivation):
+        with pytest.raises(ValueError, match="another group"):
+            check(D, chart)
 
 
 def test_ideal_stable_oracles():
@@ -264,7 +286,7 @@ def test_transition_identity_at_origin():
         chart, system, weyl = _chart(name)
         n = weyl.dim
         loc = local_chart(system, weyl, chart, [Qi(0)] * n)
-        m, _ = transition_matrix(chart, loc, loc.weyl)
+        m, _ = transition_matrix(chart, loc)
         expected = [
             [MultiPoly.one(n) if i == j else MultiPoly.zero(n) for j in range(n)]
             for i in range(n)
@@ -275,7 +297,7 @@ def test_transition_identity_at_origin():
 def test_transition_regular_sl2_exact():
     chart, system, weyl = _chart("sl2-so2")
     loc = local_chart(system, weyl, chart, [Qi(1)])
-    m, _ = transition_matrix(chart, loc, loc.weyl)
+    m, _ = transition_matrix(chart, loc)
     # grad q1 is the constant field 1/2, grad p1 = t, so m = (2t)
     t = MultiPoly.variable(1, 0)
     assert m == [[t * 2]]
@@ -292,7 +314,7 @@ def test_transition_three_point_classes():
             points.append([Qi(1), Qi(0)])
         for pt in points:
             loc = local_chart(system, weyl, chart, pt)
-            m, _ = transition_matrix(chart, loc, loc.weyl)
+            m, _ = transition_matrix(chart, loc)
             for j in range(n):
                 rebuilt = PolyVectorField.zero(n)
                 for i in range(n):
