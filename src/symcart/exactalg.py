@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 class CertificationError(RuntimeError):
@@ -789,48 +789,6 @@ def univ_eval(c, x):
     return acc
 
 
-def univ_derivative(c):
-    return univ_trim([c[k] * k for k in range(1, len(c))])
-
-
-def univ_divmod(f, g):
-    f = univ_trim(f)
-    g = univ_trim(g)
-    if not g:
-        raise ZeroDivisionError("univariate division by zero")
-    q = [QI_ZERO] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    while len(r) >= len(g) and univ_trim(r):
-        r = univ_trim(r)
-        if len(r) < len(g):
-            break
-        k = len(r) - len(g)
-        coef = r[-1] / g[-1]
-        q[k] = coef
-        for i in range(len(g)):
-            r[i + k] = r[i + k] - coef * g[i]
-        r.pop()
-    return univ_trim(q), univ_trim(r)
-
-
-def univ_gcd(f, g):
-    a, b = univ_trim(f), univ_trim(g)
-    while b:
-        _, r = univ_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def univ_is_squarefree(f):
-    f = univ_trim(f)
-    if len(f) <= 1:
-        return True
-    return len(univ_gcd(f, univ_derivative(f))) == 1
-
-
 def matrix_min_poly(A):
     """Monic minimal polynomial of a square Q(i) matrix, ascending coeffs."""
     n = len(A)
@@ -909,8 +867,7 @@ def gaussian_rational_roots(f):
     # clear denominators to Gaussian-integer coefficients
     den = 1
     for c in work:
-        den = den * c.real.denominator // _gcd(den, c.real.denominator)
-        den = den * c.imag.denominator // _gcd(den, c.imag.denominator)
+        den = lcm(den, c.real.denominator, c.imag.denominator)
     cleared = [c * den for c in work]
     c0 = cleared[0]
     ck = cleared[-1]
@@ -936,7 +893,51 @@ def _deflate(f, r):
     return univ_trim(out)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
+class SpectrumError(ValueError):
+    """A spectrum does not split over Q(i)."""
+
+
+def joint_eigenspaces(mats):
+    """Joint eigenspaces of commuting square Q(i) matrices, with the one
+    semisimplicity certificate: `(blocks, None)` or `(None, i)`.
+
+    The space is split one matrix A at a time: every current block is cut
+    into the kernels of A - lambda on it, for lambda over the roots of the
+    minimal polynomial of A (`SpectrumError` if it does not split). A is
+    diagonalisable exactly when these kernels fill every block (Humphreys,
+    *Introduction to Lie Algebras*, section 8); the first A whose kernels
+    miss part of a block is reported by its index i. Otherwise `blocks`
+    lists the joint eigenspaces as (eigenvalue tuple, basis) pairs.
+    """
+    n = len(mats[0])
+    blocks = [((), mat_identity(n))]  # eigenvalues so far, block basis
+    for idx, A in enumerate(mats):
+        eigs, split = gaussian_rational_roots(matrix_min_poly(A))
+        if not split:
+            raise SpectrumError(
+                "restricted roots lie outside Q(i); pair unsupported"
+            )
+        finer = []
+        for func, basis in blocks:
+            images = [mat_vec(A, v) for v in basis]
+            filled = 0
+            for lam in eigs:
+                # coordinates u with (A - lam) sum_k u_k basis_k = 0
+                M = [
+                    [w[r] - lam * v[r] for v, w in zip(basis, images)]
+                    for r in range(n)
+                ]
+                sub = [
+                    [
+                        sum((u_k * v[r] for u_k, v in zip(u, basis)), QI_ZERO)
+                        for r in range(n)
+                    ]
+                    for u in kernel_basis(M)
+                ]
+                if sub:
+                    finer.append((func + (lam,), sub))
+                    filled += len(sub)
+            if filled != len(basis):
+                return None, idx
+        blocks = finer
+    return blocks, None

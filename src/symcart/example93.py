@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from .exactalg import (
     GaussianRational,
     LinearSpan,
+    joint_eigenspaces,
     kernel_basis,
     mat_det,
     mat_inverse,
     mat_mul,
     mat_rank,
     mat_transpose,
-    matrix_min_poly,
-    univ_is_squarefree,
 )
 from .invariants import build_chart
 from .liesym import _commutator, catalog_pair
@@ -139,10 +138,10 @@ def _centralizer_in_q(point):
 def _check_cartan():
     if not _is_zero_mat(_commutator(A_BASIS[0], A_BASIS[1])):
         return False, "a is not abelian"
-    probes = [A_BASIS[0], A_BASIS[1], _a_point(Qi(1), Qi(2))]
-    for p in probes:
-        if not univ_is_squarefree(matrix_min_poly(p)):
-            return False, "a contains a non-semisimple element"
+    # commuting matrices with joint eigenspaces filling C^3 are
+    # simultaneously diagonalisable, so every element of a is semisimple
+    if joint_eigenspaces(A_BASIS)[1] is not None:
+        return False, "a contains a non-semisimple element"
     kern = _centralizer_in_q(_a_point(Qi(1), Qi(2)))
     if len(kern) != 2:
         return False, "centralizer of a regular point has dimension %d" % len(kern)

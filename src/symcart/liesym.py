@@ -3,7 +3,12 @@ their h/q eigenspace split, invariant forms, centralizers, and a small
 catalog of symmetric pairs built from explicit matrix representations.
 
 All validation is exact; a pair that constructs without raising satisfies
-every structural identity on the nose.
+every structural identity on the nose: antisymmetry and Jacobi, sigma an
+involutive automorphism, kappa symmetric, nondegenerate and invariant, and
+a Cartan basis in q that is independent, abelian and maximal. Construction
+does not certify that the Cartan basis is semisimple: the eigenspaces that
+`rootsys.restricted_roots` (and so `build_chart`) splits g into must fill
+it, and it refuses a basis vector whose eigenspaces do not.
 """
 
 from __future__ import annotations
@@ -15,19 +20,15 @@ from .exactalg import (
     CertificationError,
     GaussianRational,
     LinearSpan,
-    MultiPoly,
     Qi,
+    joint_eigenspaces,
     kernel_basis,
     mat_det,
     mat_identity,
     mat_mul,
     mat_vec,
-    matrix_min_poly,
     parse_scalar,
     solve_exact,
-    univ_derivative,
-    univ_gcd,
-    univ_is_squarefree,
 )
 
 
@@ -60,11 +61,6 @@ def _is_square(rows, n):
 
 def _is_zero_vec(v):
     return all(x.is_zero() for x in v)
-
-
-def _render_univ(coeffs):
-    p = MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
-    return p.render(names=["t"])
 
 
 class LieAlgebra:
@@ -147,7 +143,8 @@ class LieAlgebra:
 
 
 class CartanSubspace:
-    """Span of exact commuting semisimple q-vectors; validated against a pair."""
+    """Span of exact commuting semisimple q-vectors; validated against a
+    pair, except for semisimplicity, which `restricted_roots` certifies."""
 
     def __init__(self, basis):
         self.basis = [_vec(v) for v in basis]
@@ -283,9 +280,6 @@ def _validate_cartan(pair, cart):
             if not _is_zero_vec(alg.bracket(cart.basis[i], cart.basis[j])):
                 raise ValueError(f"Cartan subspace is not abelian: basis pair ({i}, {j})")
     ads = [alg.ad(v) for v in cart.basis]
-    for i, A in enumerate(ads):
-        if not univ_is_squarefree(matrix_min_poly(A)):
-            raise ValueError(f"Cartan basis vector {i} is not semisimple")
     # maximality: the centralizer of a in q is the common kernel of the
     # ad(a_i) on q; it contains a, so it must not be larger
     qb = pair.q_basis
@@ -300,17 +294,17 @@ def _validate_cartan(pair, cart):
 
 def centralizer_in_q(pair, a_point):
     """Split q = q_a + m at a semisimple point: the ad-kernel and its
-    kappa-orthocomplement, both returned as lists of exact g-vectors."""
+    kappa-orthocomplement, both returned as lists of exact g-vectors.
+
+    A point whose ad has eigenspaces that do not fill g is refused with a
+    ValueError, and one whose ad spectrum leaves Q(i) with SpectrumError."""
     a_point = _vec(a_point)
     alg = pair.algebra
     n = alg.dim
     A = alg.ad(a_point)
-    mp = matrix_min_poly(A)
-    if not univ_is_squarefree(mp):
-        rep = univ_gcd(mp, univ_derivative(mp))
+    if joint_eigenspaces([A])[1] is not None:
         raise ValueError(
-            "a_point is not semisimple: minimal polynomial of ad has "
-            f"repeated factor {_render_univ(rep)}"
+            "a_point is not semisimple: the eigenspaces of its ad do not fill g"
         )
     qb = pair.q_basis
     M = [[A[r][j] for j in qb] for r in range(n)]
@@ -344,10 +338,6 @@ def centralizer_in_q(pair, a_point):
 
 # ---------------------------------------------------------------- catalog
 
-def _mtx(rows):
-    return [[_scalar(x) for x in row] for row in rows]
-
-
 def _commutator(x, y):
     return [
         [a - b for a, b in zip(r1, r2)]
@@ -367,7 +357,7 @@ def _trace_prod(x, y):
 def _pair_from_matrices(name, h_mats, q_mats, cartan_coords):
     """Assemble a SymmetricPair from a faithful matrix representation;
     kappa is the trace form, sigma is +1 on h_mats and -1 on q_mats."""
-    mats = [_mtx(m) for m in h_mats] + [_mtx(m) for m in q_mats]
+    mats = [_mat(m) for m in h_mats] + [_mat(m) for m in q_mats]
     dim = len(mats)
     size = len(mats[0])
     # express commutators in the basis by exact linear solve

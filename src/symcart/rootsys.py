@@ -14,25 +14,24 @@ from .exactalg import (
     CertificationError,
     LinearSpan,
     Qi,
-    gaussian_rational_roots,
+    SpectrumError,  # raised by joint_eigenspaces; callers catch it from here
+    joint_eigenspaces,
     kernel_basis,
     mat_identity,
     mat_inverse,
     mat_mul,
     mat_vec,
-    matrix_min_poly,
     render_matrix,
     render_vector,
 )
 from .liesym import _vec
 
 
-class SpectrumError(ValueError):
-    """The restricted-root spectrum does not split over Q(i)."""
-
-
-def _mat_key(m):
-    return tuple(tuple((x.real, x.imag) for x in row) for row in m)
+def _key(v):
+    """Exact sort and lookup key of a vector, or of a matrix by rows."""
+    if v and isinstance(v[0], Qi):
+        return tuple(x.sort_key() for x in v)
+    return tuple(map(_key, v))
 
 
 @dataclass
@@ -58,12 +57,12 @@ class WeylGroup:
         self.elements = elements
         self.order = len(elements)
         self.kappa_on_a = kappa_on_a
-        self._keys = {_mat_key(m) for m in elements}
+        self._keys = {_key(m) for m in elements}
         # degree -> invariant basis, filled by invariants.invariant_basis
         self.invariant_bases = {}
 
     def contains(self, m):
-        return _mat_key(m) in self._keys
+        return _key(m) in self._keys
 
     def __eq__(self, other):
         # the same elements make the same group, built once or twice
@@ -75,31 +74,27 @@ class WeylGroup:
 def reduced_subset(functionals):
     """Flag each functional whose half is not itself in the set."""
     fs = [_vec(f) for f in functionals]
-    keys = {tuple((x.real, x.imag) for x in f) for f in fs}
-    flags = []
-    for f in fs:
-        half = tuple(((x / 2).real, (x / 2).imag) for x in f)
-        flags.append(half not in keys)
-    return flags
+    keys = {_key(f) for f in fs}
+    return [_key([x / 2 for x in f]) not in keys for f in fs]
 
 
-def restricted_roots(pair, cartan=None):
+def restricted_roots(pair):
     """Joint-eigenspace decomposition of g under ad of the Cartan subspace.
 
-    The ad(a_i) of the Cartan basis commute and are diagonalisable, so g
-    splits one basis vector at a time: every current block is cut into the
-    kernels of ad(a_i) - lambda, for lambda over the roots of the minimal
-    polynomial of ad(a_i). The final blocks are the joint eigenspaces, and
-    their eigenvalue tuples are the root functionals.
+    `exactalg.joint_eigenspaces` splits g one Cartan basis vector at a
+    time; its blocks are the joint eigenspaces, and their eigenvalue
+    tuples are the root functionals. The blocks filling g is the
+    certificate that every ad(a_i) is semisimple: a basis vector whose
+    eigenspaces miss part of a block is refused with a ValueError.
     """
-    cart = cartan if cartan is not None else pair.cartan
+    cart = pair.cartan
     if cart is None:
         raise ValueError("pair has no Cartan subspace attached")
     alg = pair.algebra
     n = alg.dim
     ads = [alg.ad(v) for v in cart.basis]
     z_dim = len(kernel_basis([row for A in ads for row in A]))
-    roots, zero_dim = _joint_eigenspaces(ads, n)
+    roots, zero_dim = _joint_eigenspaces(ads)
     total = sum(m for _, m in roots)
     if not zero_dim == z_dim == n - total:
         raise CertificationError(
@@ -112,10 +107,9 @@ def restricted_roots(pair, cartan=None):
             },
         )
     flags = reduced_subset([f for f, _ in roots])
-    mults = {tuple((x.real, x.imag) for x in f): m for f, m in roots}
+    mults = {_key(f): m for f, m in roots}
     for f, m in roots:
-        neg = tuple(((-x).real, (-x).imag) for x in f)
-        if mults.get(neg) != m:
+        if mults.get(_key([-x for x in f])) != m:
             raise CertificationError(
                 "roots_symmetric",
                 {"functional": render_vector(f), "multiplicity": m},
@@ -124,39 +118,16 @@ def restricted_roots(pair, cartan=None):
         RestrictedRoot(list(f), m, flag)
         for (f, m), flag in zip(roots, flags)
     ]
-    out.sort(key=lambda r: tuple((x.real, x.imag) for x in r.functional))
+    out.sort(key=lambda r: _key(r.functional))
     return RestrictedRootSystem(out, cart.rank, zero_dim)
 
 
-def _joint_eigenspaces(ads, n):
+def _joint_eigenspaces(ads):
     """(functional, multiplicity) for each joint eigenspace of the ads
     with a nonzero functional, and the dimension of the zero one."""
-    blocks = [((), mat_identity(n))]  # eigenvalues so far, block basis
-    for A in ads:
-        eigs, split = gaussian_rational_roots(matrix_min_poly(A))
-        if not split:
-            raise SpectrumError(
-                "restricted roots lie outside Q(i); pair unsupported"
-            )
-        finer = []
-        for func, basis in blocks:
-            images = [mat_vec(A, v) for v in basis]
-            for lam in eigs:
-                # coordinates u with (A - lam) sum_k u_k basis_k = 0
-                M = [
-                    [w[r] - lam * v[r] for v, w in zip(basis, images)]
-                    for r in range(n)
-                ]
-                sub = [
-                    [
-                        sum((u_k * v[r] for u_k, v in zip(u, basis)), Qi(0))
-                        for r in range(n)
-                    ]
-                    for u in kernel_basis(M)
-                ]
-                if sub:
-                    finer.append((func + (lam,), sub))
-        blocks = finer
+    blocks, bad = joint_eigenspaces(ads)
+    if bad is not None:
+        raise ValueError(f"Cartan basis vector {bad} is not semisimple")
     roots = []
     zero_dim = 0
     for func, basis in blocks:
@@ -195,7 +166,7 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
             ]
             for i in range(dim)
         ]
-        key = _mat_key(S)
+        key = _key(S)
         if key not in seen_gen:
             if mat_mul(S, S) != mat_identity(dim):
                 raise CertificationError(
@@ -204,12 +175,9 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
             seen_gen.add(key)
             generators.append(S)
 
-    def fkey(f):
-        return tuple((x.real, x.imag) for x in f)
-
     mults = {}
     for r in root_list:
-        k = fkey(r.functional)
+        k = _key(r.functional)
         mults[k] = mults.get(k, 0) + r.multiplicity
     for g in generators:
         for r in root_list:
@@ -217,7 +185,7 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
                 sum((r.functional[k] * g[k][j] for k in range(dim)), Qi(0))
                 for j in range(dim)
             ]
-            if mults.get(fkey(image)) != mults[fkey(r.functional)]:
+            if mults.get(_key(image)) != mults[_key(r.functional)]:
                 raise CertificationError(
                     "weyl_permutes_roots",
                     {
@@ -227,14 +195,14 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
                 )
 
     ident = mat_identity(dim)
-    elements = {_mat_key(ident): ident}
+    elements = {_key(ident): ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for w in frontier:
             for g in generators:
                 p = mat_mul(w, g)
-                k = _mat_key(p)
+                k = _key(p)
                 if k not in elements:
                     if len(elements) >= max_elements:
                         raise ValueError(

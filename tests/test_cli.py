@@ -329,6 +329,8 @@ def test_malformed_inputs_are_input_errors(capsys, tmp_path):
         ("sigma", [[None, 0, 0], [0, -1, 0], [0, 0, -1]], "not a scalar"),
         ("kappa", 3, "kappa"),
         ("cartan", 3, "cartan"),
+        # ad(e1 + i e2) is nilpotent: maximal abelian, but not semisimple
+        ("cartan", [["0", "1", "i"]], "semisimple"),
     ):
         doc = tmp_path / f"bad_{field}.json"
         doc.write_text(json.dumps(dict(SL2_DOC, **{field: value})))

@@ -11,6 +11,7 @@ from symcart.exactalg import (
     MultiPoly,
     det_adjugate,
     gaussian_rational_roots,
+    joint_eigenspaces,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -19,8 +20,6 @@ from symcart.exactalg import (
     poly_divides,
     render_scalar,
     solve_exact,
-    univ_gcd,
-    univ_is_squarefree,
 )
 
 Qi = GaussianRational
@@ -308,16 +307,6 @@ def test_linear_span_incremental():
 
 # ---------------------------------------------------------------- univariate
 
-def test_univ_gcd_and_squarefree():
-    # (t-1)(t+1) and (t-1)^2 share exactly t-1
-    f = [Qi(-1), Qi(0), Qi(1)]
-    g = [Qi(1), Qi(-2), Qi(1)]
-    d = univ_gcd(f, g)
-    assert d == [Qi(-1), Qi(1)] or d == [Qi(1), Qi(-1)]
-    assert univ_is_squarefree(f)
-    assert not univ_is_squarefree(g)
-
-
 def test_min_poly_rotation_matrix():
     # ad-style rotation generator: squares to -identity
     A = [[Qi(0), Qi(-1)], [Qi(1), Qi(0)]]
@@ -331,7 +320,10 @@ def test_min_poly_nilpotent_not_squarefree():
     A = [[Qi(0), Qi(1)], [Qi(0), Qi(0)]]
     m = matrix_min_poly(A)
     assert m == [Qi(0), Qi(0), Qi(1)]  # t^2
-    assert not univ_is_squarefree(m)
+    # its one eigenspace is a line, short of the plane
+    assert joint_eigenspaces([A]) == (None, 0)
+    identity = [[Qi(1), Qi(0)], [Qi(0), Qi(1)]]
+    assert joint_eigenspaces([identity, A]) == (None, 1)
 
 
 def test_roots_outside_field_detected():

@@ -14,6 +14,7 @@ from symcart.liesym import (
     centralizer_in_q,
     load_pair,
 )
+from symcart.rootsys import restricted_roots
 
 CATALOG_NAMES = ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal"]
 
@@ -285,7 +286,7 @@ def test_centralizer_rejects_non_semisimple_point():
     pair = catalog_pair("sl2-so2")
     # e + i*f is nilpotent: [[1, i], [i, -1]] squares to zero
     bad = [Qi(0), Qi(1), Qi(0, 1)]
-    with pytest.raises(ValueError, match="repeated factor"):
+    with pytest.raises(ValueError, match="a_point is not semisimple"):
         centralizer_in_q(pair, bad)
 
 
@@ -308,15 +309,17 @@ def test_cartan_validator_rejections():
             cartan=CartanSubspace([_unit(8, 0)]),
         )
 
+    # construction leaves semisimplicity to the root split
     sl2 = catalog_pair("sl2-so2")
-    with pytest.raises(ValueError, match="semisimple"):
-        SymmetricPair(
-            sl2.algebra,
-            sl2.sigma,
-            sl2.kappa,
-            name="bad",
-            cartan=CartanSubspace([[Qi(0), Qi(1), Qi(0, 1)]]),
-        )
+    nilpotent = SymmetricPair(
+        sl2.algebra,
+        sl2.sigma,
+        sl2.kappa,
+        name="bad",
+        cartan=CartanSubspace([[Qi(0), Qi(1), Qi(0, 1)]]),
+    )
+    with pytest.raises(ValueError, match="Cartan basis vector 0 is not semisimple"):
+        restricted_roots(nilpotent)
 
     diag = catalog_pair("sl2-diagonal")
     with pytest.raises(ValueError, match="abelian"):

@@ -1,5 +1,6 @@
 import functools
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 import sympy
 
 from _oracles import SL3_ROOT_SET, matrix_key, same_span, sl3_weyl_matrices_by_weight_permutations
+from symcart import exactalg, liesym
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import mat_vec
 from symcart.invariants import build_chart
@@ -209,6 +211,38 @@ def test_sl4_so4_fixture_chart():
     assert chart.weyl.order == 24
     assert list(chart.degrees) == [2, 3, 4]
     assert chart.gram_constant == Qi(1)
+
+
+def _count_min_polys(monkeypatch):
+    """Sizes of the matrices passed to matrix_min_poly through any module
+    of the package that binds it."""
+    calls = []
+    original = exactalg.matrix_min_poly
+
+    def counted(A):
+        calls.append(len(A))
+        return original(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symcart" and (
+            getattr(module, "matrix_min_poly", None) is original
+        ):
+            monkeypatch.setattr(module, "matrix_min_poly", counted)
+    return calls
+
+
+def test_one_min_poly_per_cartan_vector(monkeypatch):
+    # construction leaves the spectrum to the root split, which takes one
+    # minimal polynomial per Cartan basis vector
+    calls = _count_min_polys(monkeypatch)
+    pair = liesym._build_sl3_so21()
+    assert calls == []
+    build_chart(pair)
+    assert len(calls) == pair.cartan.rank == 2
+    calls.clear()
+    path = Path(__file__).parent / "fixtures" / "sl4-so4.json"
+    load_pair(json.loads(path.read_text()))
+    assert calls == []
 
 
 def _to_sympy(x):
