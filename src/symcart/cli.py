@@ -241,7 +241,7 @@ def _regular_point(chart, points):
 
 def _slice(chart, point):
     """Local chart and transition matrix at one base point."""
-    loc = _guard(local_chart, chart.system, chart.weyl, chart, point)
+    loc = _guard(local_chart, chart, point)
     m, det = transition_matrix(chart, loc)
     return loc, m, det
 
@@ -528,9 +528,9 @@ def _cmd_slice(args, inputs):
     results = {
         "pair": pair.name,
         "point": render_vector(point),
-        "psi": _rpoly(loc.psi_a),
-        "phi_local": _rpoly(loc.phi_a_local),
-        "psi_at_point": render_scalar(loc.psi_a.evaluate(point)),
+        "psi": _rpoly(loc.psi),
+        "phi_local": _rpoly(loc.phi),
+        "psi_at_point": render_scalar(loc.psi.evaluate(point)),
         "local_generators": [_rpoly(p) for p in loc.generators],
         "degrees": list(loc.degrees),
         "local_weyl_order": loc.weyl.order,

@@ -592,65 +592,44 @@ class LinearSolution:
     kernel: list
 
 
-def _rref(A, b=None):
-    """Row-reduce A (and b alongside); returns rows, rhs, pivot columns."""
-    rows = [list(r) for r in A]
-    rhs = list(b) if b is not None else [QI_ZERO] * len(rows)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = QI_ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(m):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * c for a, c in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    return rows, rhs, pivots
+def _rref(rows, length):
+    """Reduced row echelon form of the rows, as (pivot, row) pairs sorted
+    by pivot: the one elimination behind every solve, kernel, inverse and
+    rank. The form is unique, so it does not depend on the row order."""
+    span = LinearSpan(length)
+    for row in rows:
+        span.add(row)
+    return span.rows
 
 
 def solve_exact(A, b) -> LinearSolution:
     """Exact Gaussian elimination over Q(i): rank, one solution, kernel basis.
 
-    Inconsistency is reported (particular = None), never raised.
+    Row-reduces [A | b]; a pivot in the b column is an inconsistency,
+    reported (particular = None), never raised.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows, rhs, pivots = _rref(A, b)
-    rank = len(pivots)
-    for i in range(rank, m):
-        if not rhs[i].is_zero():
-            return LinearSolution(rank, None, _kernel_from_rref(rows, pivots, n))
+    n = len(A[0]) if A else 0
+    rows = _rref([list(r) + [x] for r, x in zip(A, b)], n + 1)
+    pivoted = [(p, row) for p, row in rows if p < n]
+    kernel = _kernel_from_rref(pivoted, n)
+    if len(pivoted) < len(rows):
+        return LinearSolution(len(pivoted), None, kernel)
     particular = [QI_ZERO] * n
-    for r, col in enumerate(pivots):
-        particular[col] = rhs[r]
-    return LinearSolution(rank, particular, _kernel_from_rref(rows, pivots, n))
+    for p, row in pivoted:
+        particular[p] = row[n]
+    return LinearSolution(len(pivoted), particular, kernel)
 
 
-def _kernel_from_rref(rows, pivots, n):
-    free = [j for j in range(n) if j not in pivots]
+def _kernel_from_rref(rows, n):
+    pivots = {p for p, _ in rows}
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         v = [QI_ZERO] * n
         v[f] = QI_ONE
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][f]
+        for p, row in rows:
+            v[p] = -row[f]
         basis.append(v)
     return basis
 
@@ -709,21 +688,19 @@ def mat_inverse(A):
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")
     aug = [list(A[i]) + [QI_ONE if j == i else QI_ZERO for j in range(n)] for i in range(n)]
-    rows, _, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
+    rows = _rref(aug, 2 * n)
+    if [p for p, _ in rows] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
+    return [row[n:] for _, row in rows]
 
 
 def mat_rank(A):
-    _, _, pivots = _rref(A)
-    return len(pivots)
+    return len(_rref(A, len(A[0]) if A else 0))
 
 
 def kernel_basis(A):
-    rows, _, pivots = _rref(A)
     n = len(A[0]) if A else 0
-    return _kernel_from_rref(rows, pivots, n)
+    return _kernel_from_rref(_rref(A, n), n)
 
 
 class LinearSpan:
@@ -790,26 +767,28 @@ def univ_eval(c, x):
 
 
 def matrix_min_poly(A):
-    """Monic minimal polynomial of a square Q(i) matrix, ascending coeffs."""
+    """Monic minimal polynomial of a square Q(i) matrix, ascending coeffs.
+
+    Each power A^k is flattened, tagged with the unit vector e_k and
+    reduced in one span. Row operations keep every row a combination of
+    the tagged powers with its tag as coefficients, so the first power
+    whose flattened part reduces to zero carries the monic relation of
+    least degree in its tag. By Cayley-Hamilton that happens by k = n.
+    """
     n = len(A)
+    nn = n * n
+    span = LinearSpan(nn + n + 1)
     power = mat_identity(n)
-    flats = []
-    span = LinearSpan(n * n)
-    # n^2 + 1 powers in an n^2-dimensional space: one is dependent
-    sol = None
-    for k in range(n * n + 1):
-        flat = [x for row in power for x in row]
-        if not span.add(flat):
-            cols = [[flats[j][i] for j in range(k)] for i in range(n * n)]
-            sol = solve_exact(cols, flat)
-            break
-        flats.append(flat)
+    for k in range(n + 1):
+        tag = [QI_ONE if j == k else QI_ZERO for j in range(n + 1)]
+        v = span.reduce([x for row in power for x in row] + tag)
+        if all(x.is_zero() for x in v[:nn]):
+            return univ_trim(v[nn:])
+        span.add(v)
         power = mat_mul(power, A)
-    if sol is None or sol.particular is None:
-        raise CertificationError(
-            "min_poly_relation", {"size": n, "independent_powers": len(flats)}
-        )
-    return univ_trim([-c for c in sol.particular] + [QI_ONE])
+    raise CertificationError(
+        "min_poly_relation", {"size": n, "independent_powers": n + 1}
+    )
 
 
 def _int_divisors(n):
@@ -903,11 +882,12 @@ def joint_eigenspaces(mats):
 
     The space is split one matrix A at a time: every current block is cut
     into the kernels of A - lambda on it, for lambda over the roots of the
-    minimal polynomial of A (`SpectrumError` if it does not split). A is
-    diagonalisable exactly when these kernels fill every block (Humphreys,
-    *Introduction to Lie Algebras*, section 8); the first A whose kernels
-    miss part of a block is reported by its index i. Otherwise `blocks`
-    lists the joint eigenspaces as (eigenvalue tuple, basis) pairs.
+    minimal polynomial of A (`SpectrumError`, naming the index of A, if it
+    does not split). A is diagonalisable exactly when these kernels fill
+    every block (Humphreys, *Introduction to Lie Algebras*, section 8); the
+    first A whose kernels miss part of a block is reported by its index i.
+    Otherwise `blocks` lists the joint eigenspaces as (eigenvalue tuple,
+    basis) pairs.
     """
     n = len(mats[0])
     blocks = [((), mat_identity(n))]  # eigenvalues so far, block basis
@@ -915,7 +895,7 @@ def joint_eigenspaces(mats):
         eigs, split = gaussian_rational_roots(matrix_min_poly(A))
         if not split:
             raise SpectrumError(
-                "restricted roots lie outside Q(i); pair unsupported"
+                f"the minimal polynomial of matrix {idx} does not split over Q(i)"
             )
         finer = []
         for func, basis in blocks:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .exactalg import (
     GaussianRational,
-    LinearSpan,
     joint_eigenspaces,
     kernel_basis,
     mat_det,
@@ -120,10 +119,9 @@ def _check_dimensions():
         neg = [[-x for x in row] for row in q]
         if _sigma(q) != neg or not _trace(q).is_zero():
             return False, "claimed q vector is not an anti-fixed traceless matrix"
-    span = LinearSpan(9)
-    for m in H_BASIS + Q_BASIS:
-        if not span.add(_flat(m)):
-            return False, "eigenvector lists are dependent"
+    flats = [_flat(m) for m in H_BASIS + Q_BASIS]
+    if mat_rank(flats) != len(flats):
+        return False, "eigenvector lists are dependent"
     return True, "dim h = 3, dim q = 5, together all of the traceless matrices"
 
 
@@ -145,16 +143,13 @@ def _check_cartan():
     kern = _centralizer_in_q(_a_point(Qi(1), Qi(2)))
     if len(kern) != 2:
         return False, "centralizer of a regular point has dimension %d" % len(kern)
-    span = LinearSpan(5)
-    for v in kern:
-        span.add(v)
     a_coords = [
         [Qi(1), Qi(0), Qi(0), Qi(-2), Qi(0)],
         [Qi(0), Qi(0), Qi(1), Qi(0), Qi(0)],
     ]
-    for c in a_coords:
-        if not span.contains(c):
-            return False, "centralizer of a regular point differs from a"
+    # kern is a basis: the rank grows iff some coordinate row leaves its span
+    if mat_rank(kern + a_coords) != len(kern):
+        return False, "centralizer of a regular point differs from a"
     return True, "a is abelian, semisimple, and self-centralizing at a(1, 2)"
 
 
@@ -187,17 +182,13 @@ def _check_fixed_space():
     kern = kernel_basis(rows)
     if len(kern) != 3:
         return False, "fixed space has dimension %d" % len(kern)
-    span = LinearSpan(5)
-    for v in kern:
-        span.add(v)
     qm_coords = [
         [Qi(1), Qi(0), Qi(0), Qi(0), Qi(0)],
         [Qi(0), Qi(0), Qi(1), Qi(0), Qi(0)],
         [Qi(0), Qi(0), Qi(0), Qi(1), Qi(0)],
     ]
-    for c in qm_coords:
-        if not span.contains(c):
-            return False, "fixed space differs from the printed shape"
+    if mat_rank(kern + qm_coords) != len(kern):
+        return False, "fixed space differs from the printed shape"
     return True, "3-dimensional, shape " + QM_SHAPE
 
 

@@ -40,10 +40,9 @@ def is_invariant(f, weyl):
     """Whether f(w x) = f(x) for every element w of the group.
 
     Testing the generators is enough.  If f is fixed by g and by h then
-    f((gh) x) = f(g (h x)) = f(h x) = f(x), and every `WeylGroup` in the
-    package has `elements` equal to the closure of `generators`:
-    `weyl_group` builds the elements by breadth-first search over the
-    generators, and `local_chart` conjugates both lists by one frame.
+    f((gh) x) = f(g (h x)) = f(h x) = f(x), and every `WeylGroup` has
+    `elements` equal to the closure of `generators`: its constructor
+    builds them by multiplying out the generators.
     """
     return all(f.compose_linear(g) == f for g in weyl.generators)
 
@@ -215,64 +214,27 @@ def _gram(generators, gradients, phi):
     return A, adj, det, c
 
 
-def gram_phi(generators, gradients, phi):
-    """Gram determinant det(grad p_i . p_j) and its constant ratio to
-    the root product."""
-    _, _, det, c = _gram(generators, gradients, phi)
-    return det, c
+class Chart:
+    """Chart carried by a complete set of basic invariants of a group.
 
+    The gradients are taken through the group's invariant form, and the
+    Gram data (matrix, adjugate, determinant and its constant ratio to
+    phi) come from one certified `_gram` call. `build_chart` adds the
+    restricted root system as `system`; `local_chart` adds `base_point`
+    and the factor `psi` of the global root product that does not vanish
+    there.
+    """
 
-class InvariantChart:
-    """Global chart carried by a complete set of basic invariants."""
-
-    def __init__(self, generators, degrees, gradients, phi, gram_constant,
-                 gram_matrix, gram_adjugate, gram_det, weyl, kappa_on_a,
-                 system):
+    def __init__(self, generators, degrees, weyl, phi):
         self.generators = generators
         self.degrees = degrees
-        self.gradients = gradients
+        self.weyl = weyl
+        self.kappa_on_a = weyl.kappa_on_a
         self.phi = phi
-        self.gram_constant = gram_constant
-        self.gram_matrix = gram_matrix
-        self.gram_adjugate = gram_adjugate
-        self.gram_det = gram_det
-        self.weyl = weyl
-        self.kappa_on_a = kappa_on_a
-        self.system = system
         self.rank = len(generators)
-
-
-class LocalChart:
-    """Chart adapted to a base point: invariants of the vanishing-root
-    subgroup on its span, affine coordinates on the fixed space.
-
-    Its Gram data ties the local gradients to `phi_a_local` as the
-    global chart's ties its gradients to phi."""
-
-    def __init__(self, base_point, local_generators, degrees, gradients,
-                 psi_a, phi_a_local, gram, weyl, kappa_on_a, b_basis,
-                 c_basis, roots_a):
-        self.base_point = base_point
-        self.local_generators = local_generators
-        self.degrees = degrees
-        self.gradients = gradients
-        self.psi_a = psi_a
-        self.phi_a_local = phi_a_local
+        self.gradients = [gradient(p, weyl.kappa_on_a) for p in generators]
         (self.gram_matrix, self.gram_adjugate, self.gram_det,
-         self.gram_constant) = gram
-        self.weyl = weyl
-        self.kappa_on_a = kappa_on_a
-        self.b_basis = b_basis
-        self.c_basis = c_basis
-        self.roots_a = roots_a
-
-    @property
-    def generators(self):
-        return self.local_generators
-
-    @property
-    def phi(self):
-        return self.phi_a_local
+         self.gram_constant) = _gram(generators, self.gradients, phi)
 
 
 def build_chart(pair, seed=0):
@@ -283,52 +245,54 @@ def build_chart(pair, seed=0):
     pass one.
     """
     system = restricted_roots(pair)
-    K = pair.kappa_on_cartan()
-    weyl = weyl_group(system, K)
+    weyl = weyl_group(system, pair.kappa_on_cartan())
     generators, degrees = invariant_generators(weyl)
     phi = phi_from_roots(system)
     if not is_invariant(phi, weyl):
         raise CertificationError("phi_invariant", {"phi": phi.render()})
-    gradients = [gradient(p, K) for p in generators]
-    A, adj, det, c = _gram(generators, gradients, phi)
-    return InvariantChart(
-        generators, degrees, gradients, phi, c, A, adj, det, weyl, K, system
-    )
+    chart = Chart(generators, degrees, weyl, phi)
+    chart.system = system
+    return chart
 
 
-def local_chart(roots, weyl, chart, a_point):
-    """Chart at a base point, factoring the root product through the
-    roots that vanish there."""
+def local_chart(chart, a_point):
+    """Chart at a base point of a global chart, for the subgroup W_a
+    fixing it, factoring the root product through the roots that vanish
+    there.
+
+    W_a is the reflection group of those roots, acting on their span b
+    and fixing its complement c. Its generators, written in a frame
+    adapted to a = b + c, are certified block diagonal with the identity
+    on c; products of such matrices are again such, so the b-blocks of
+    the generators generate the group on b whose invariants give the
+    local generators.
+    """
     pt = [Qi._coerce(x) if not isinstance(x, Qi) else x for x in a_point]
+    weyl = chart.weyl
     n = weyl.dim
-    roots_a, W_a, (b_basis, c_basis) = local_subsystem(roots, weyl, pt)
+    _, W_a, (b_basis, c_basis) = local_subsystem(chart.system, weyl, pt)
     r = len(b_basis)
 
-    cols = b_basis + c_basis
-    T = [[cols[j][i] for j in range(n)] for i in range(n)]
+    T = mat_transpose(b_basis + c_basis)
     Tinv = mat_inverse(T)
 
     if r:
-        blocks = []
         gen_blocks = []
-        for src, dst in ((W_a.elements, blocks), (W_a.generators, gen_blocks)):
-            for g in src:
-                gp = mat_mul(Tinv, mat_mul(g, T))
-                # block diagonal, with the identity on the fixed space
-                if any(
-                    gp[i][j] != (Qi(1) if i == j else Qi(0))
-                    for i in range(n)
-                    for j in range(n)
-                    if i >= r or j >= r
-                ):
-                    raise CertificationError(
-                        "local_frame_split", {"matrix": render_matrix(gp)}
-                    )
-                dst.append([row[:r] for row in gp[:r]])
+        for g in W_a.generators:
+            gp = mat_mul(Tinv, mat_mul(g, T))
+            if any(
+                gp[i][j] != (Qi(1) if i == j else Qi(0))
+                for i in range(n)
+                for j in range(n)
+                if i >= r or j >= r
+            ):
+                raise CertificationError(
+                    "local_frame_split", {"matrix": render_matrix(gp)}
+                )
+            gen_blocks.append([row[:r] for row in gp[:r]])
         Kp = mat_mul(mat_transpose(T), mat_mul(weyl.kappa_on_a, T))
         Kb = [row[:r] for row in Kp[:r]]
-        Wb = WeylGroup(r, gen_blocks, blocks, Kb)
-        bgens, bdegs = invariant_generators(Wb)
+        bgens, bdegs = invariant_generators(WeylGroup(r, gen_blocks, Kb))
     else:
         bgens, bdegs = [], []
 
@@ -345,11 +309,10 @@ def local_chart(roots, weyl, chart, a_point):
 
     neg = [-x for x in pt]
     local_x = [f.shift(neg) for f in local_u]
-    gradients = [gradient(f, weyl.kappa_on_a) for f in local_x]
 
     psi = MultiPoly.one(n)
     phi_local = MultiPoly.one(n)
-    for rt in roots.roots:
+    for rt in chart.system.roots:
         if not rt.is_reduced:
             continue
         form = MultiPoly.linear_form(rt.functional)
@@ -372,8 +335,7 @@ def local_chart(roots, weyl, chart, a_point):
             {"point": render_vector(pt), "psi": psi.render()},
         )
 
-    gram = _gram(local_x, gradients, phi_local)
-    return LocalChart(
-        pt, local_x, degrees, gradients, psi, phi_local, gram, W_a,
-        weyl.kappa_on_a, b_basis, c_basis, roots_a
-    )
+    local = Chart(local_x, degrees, W_a, phi_local)
+    local.base_point = pt
+    local.psi = psi
+    return local

@@ -19,13 +19,13 @@ from fractions import Fraction
 from .exactalg import (
     CertificationError,
     GaussianRational,
-    LinearSpan,
     Qi,
     joint_eigenspaces,
     kernel_basis,
     mat_det,
     mat_identity,
     mat_mul,
+    mat_rank,
     mat_vec,
     parse_scalar,
     solve_exact,
@@ -271,10 +271,8 @@ def _validate_cartan(pair, cart):
     for i, v in enumerate(cart.basis):
         if mat_vec(pair.sigma, v) != [-x for x in v]:
             raise ValueError(f"Cartan basis vector {i} is not in q")
-    span = LinearSpan(n)
-    for v in cart.basis:
-        if not span.add(v):
-            raise ValueError("Cartan basis is linearly dependent")
+    if mat_rank(cart.basis) != cart.rank:
+        raise ValueError("Cartan basis is linearly dependent")
     for i in range(cart.rank):
         for j in range(i + 1, cart.rank):
             if not _is_zero_vec(alg.bracket(cart.basis[i], cart.basis[j])):
@@ -325,10 +323,7 @@ def centralizer_in_q(pair, a_point):
             for c, j in zip(u, qb):
                 v[j] = c
             m.append(v)
-    total = LinearSpan(n)
-    for v in q_a + m:
-        total.add(v)
-    if not total.dim == len(q_a) + len(m) == len(qb):
+    if not mat_rank(q_a + m) == len(q_a) + len(m) == len(qb):
         raise CertificationError(
             "centralizer_split",
             {"q_a_dim": len(q_a), "m_dim": len(m), "q_dim": len(qb)},
@@ -467,6 +462,12 @@ def catalog():
 
 # ---------------------------------------------------------------- loading
 
+# largest pair dim a definition document may declare, checked before the
+# dim^3 structure constants are allocated; sl5/so5 (dim 24) is the next
+# scale target
+MAX_PAIR_DIM = 24
+
+
 def load_pair(definition):
     """Build a SymmetricPair from its JSON-style definition document."""
     try:
@@ -482,6 +483,8 @@ def load_pair(definition):
     name = definition.get("name", "")
     if dim < 1:
         raise ValueError(f"pair definition dim must be positive, not {dim}")
+    if dim > MAX_PAIR_DIM:
+        raise ValueError(f"pair definition dim {dim} exceeds the bound {MAX_PAIR_DIM}")
     if not isinstance(brackets, list):
         raise ValueError("pair definition brackets must be a list of entries")
     cartan_rows = definition.get("cartan") or []

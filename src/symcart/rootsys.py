@@ -14,12 +14,13 @@ from .exactalg import (
     CertificationError,
     LinearSpan,
     Qi,
-    SpectrumError,  # raised by joint_eigenspaces; callers catch it from here
+    SpectrumError,  # callers catch it from here
     joint_eigenspaces,
     kernel_basis,
     mat_identity,
     mat_inverse,
     mat_mul,
+    mat_rank,
     mat_vec,
     render_matrix,
     render_vector,
@@ -32,6 +33,9 @@ def _key(v):
     if v and isinstance(v[0], Qi):
         return tuple(x.sort_key() for x in v)
     return tuple(map(_key, v))
+
+
+MAX_WEYL_ELEMENTS = 100000
 
 
 @dataclass
@@ -49,15 +53,35 @@ class RestrictedRootSystem:
 
 
 class WeylGroup:
-    """Finite matrix group on a_C, generated by root reflections."""
+    """Finite matrix group on a_C, generated by root reflections.
 
-    def __init__(self, dim, generators, elements, kappa_on_a):
+    `elements` is the closure of `generators` under multiplication, in
+    `_key` order; a closure past `max_elements` is refused with a
+    ValueError.
+    """
+
+    def __init__(self, dim, generators, kappa_on_a, max_elements=MAX_WEYL_ELEMENTS):
+        ident = mat_identity(dim)
+        closure = {_key(ident): ident}
+        todo = [ident]
+        while todo:
+            w = todo.pop()
+            for g in generators:
+                p = mat_mul(w, g)
+                k = _key(p)
+                if k not in closure:
+                    if len(closure) >= max_elements:
+                        raise ValueError(
+                            f"Weyl closure exceeded the safety bound of {max_elements} elements"
+                        )
+                    closure[k] = p
+                    todo.append(p)
         self.dim = dim
         self.generators = generators
-        self.elements = elements
-        self.order = len(elements)
+        self.elements = [closure[k] for k in sorted(closure)]
+        self.order = len(self.elements)
         self.kappa_on_a = kappa_on_a
-        self._keys = {_key(m) for m in elements}
+        self._keys = set(closure)
         # degree -> invariant basis, filled by invariants.invariant_basis
         self.invariant_bases = {}
 
@@ -125,7 +149,12 @@ def restricted_roots(pair):
 def _joint_eigenspaces(ads):
     """(functional, multiplicity) for each joint eigenspace of the ads
     with a nonzero functional, and the dimension of the zero one."""
-    blocks, bad = joint_eigenspaces(ads)
+    try:
+        blocks, bad = joint_eigenspaces(ads)
+    except SpectrumError:
+        raise SpectrumError(
+            "restricted roots lie outside Q(i); pair unsupported"
+        ) from None
     if bad is not None:
         raise ValueError(f"Cartan basis vector {bad} is not semisimple")
     roots = []
@@ -138,8 +167,8 @@ def _joint_eigenspaces(ads):
     return roots, zero_dim
 
 
-def weyl_group(roots, kappa_on_a, max_elements=100000):
-    """Breadth-first closure of the root reflections s_a built from the
+def weyl_group(roots, kappa_on_a, max_elements=MAX_WEYL_ELEMENTS):
+    """The group generated by the root reflections s_a built from the
     kappa-induced form.
 
     `roots` is a `RestrictedRootSystem` or a list of `RestrictedRoot`.
@@ -194,25 +223,7 @@ def weyl_group(roots, kappa_on_a, max_elements=100000):
                     },
                 )
 
-    ident = mat_identity(dim)
-    elements = {_key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for w in frontier:
-            for g in generators:
-                p = mat_mul(w, g)
-                k = _key(p)
-                if k not in elements:
-                    if len(elements) >= max_elements:
-                        raise ValueError(
-                            f"Weyl closure exceeded the safety bound of {max_elements} elements"
-                        )
-                    elements[k] = p
-                    fresh.append(p)
-        frontier = fresh
-    ordered = [elements[k] for k in sorted(elements)]
-    return WeylGroup(dim, generators, ordered, kappa_on_a)
+    return WeylGroup(dim, generators, kappa_on_a, max_elements)
 
 
 def local_subsystem(system, weyl, a_point):
@@ -248,10 +259,7 @@ def local_subsystem(system, weyl, a_point):
     else:
         c_basis = [row[:] for row in mat_identity(dim)]
 
-    total = LinearSpan(dim)
-    for v in b_basis + c_basis:
-        total.add(v)
-    if not total.dim == len(b_basis) + len(c_basis) == dim:
+    if not mat_rank(b_basis + c_basis) == len(b_basis) + len(c_basis) == dim:
         raise CertificationError(
             "local_split", {"b_dim": len(b_basis), "c_dim": len(c_basis), "dim": dim}
         )

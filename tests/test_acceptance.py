@@ -73,7 +73,7 @@ def _local(name, pt):
     key = (name, tuple((x.real, x.imag) for x in pt))
     if key not in _LOCALS:
         chart = _chart(name)
-        _LOCALS[key] = local_chart(chart.system, chart.weyl, chart, pt)
+        _LOCALS[key] = local_chart(chart, pt)
     return _LOCALS[key]
 
 
@@ -296,8 +296,8 @@ def test_08_slice_factorization():
         chart = _chart(name)
         for pt in _point_classes(name):
             loc = _local(name, pt)
-            assert loc.psi_a * loc.phi_a_local == chart.phi, (name, pt)
-            assert not loc.psi_a.evaluate(pt).is_zero(), (name, pt)
+            assert loc.psi * loc.phi == chart.phi, (name, pt)
+            assert not loc.psi.evaluate(pt).is_zero(), (name, pt)
 
 
 def test_09_transition_matrix():

@@ -22,6 +22,7 @@ import pytest
 import symcart
 from symcart import cli
 from symcart.exactalg import CertificationError, GaussianRational as Qi, MultiPoly
+from symcart.liesym import MAX_PAIR_DIM
 from symcart.rootsys import RestrictedRoot, weyl_group
 
 CATALOG_NAMES = ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal"]
@@ -322,6 +323,8 @@ def test_malformed_inputs_are_input_errors(capsys, tmp_path):
     assert "dim" in report["error"]["message"]
     for field, value, word in (
         ("dim", 0, "dim"),
+        # refused before the dim^3 structure constants are allocated
+        ("dim", MAX_PAIR_DIM + 1, "exceeds the bound"),
         ("brackets", None, "brackets"),
         ("brackets", [5], "bracket entry"),
         ("brackets", [[None, 1, 2, "1"]], "bracket entry"),

@@ -9,7 +9,6 @@ from symcart.exactalg import LinearSpan, MultiPoly, mat_vec
 from symcart.invariants import (
     build_chart,
     gradient,
-    gram_phi,
     invariant_basis,
     invariant_generators,
     local_chart,
@@ -171,7 +170,7 @@ def test_gradient_pairing_identity():
 
 def test_gram_identity_constants():
     chart = build_chart(catalog_pair("sl2-so2"))
-    det, c = gram_phi(chart.generators, chart.gradients, chart.phi)
+    det, c = chart.gram_det, chart.gram_constant
     assert det == _mono(1, (2,), 2)
     assert c == Qi(Fraction(-1, 2))
     assert chart.gram_constant == Qi(Fraction(-1, 2))
@@ -185,7 +184,7 @@ def test_gram_identity_constants():
 
     chart = build_chart(catalog_pair("sl3-so21"))
     assert not chart.gram_constant.is_zero()
-    det, c = gram_phi(chart.generators, chart.gradients, chart.phi)
+    det, c = chart.gram_det, chart.gram_constant
     assert det.degree() == 6
     assert det == chart.phi * c
 
@@ -204,64 +203,55 @@ def test_chart_structural_invariants():
 
 
 def test_local_chart_regular_point_sl2():
-    pair = catalog_pair("sl2-so2")
-    system = restricted_roots(pair)
-    weyl = weyl_group(system, pair.kappa_on_cartan())
-    chart = build_chart(pair)
-    loc = local_chart(system, weyl, chart, [Qi(1)])
+    chart = build_chart(catalog_pair("sl2-so2"))
+    loc = local_chart(chart, [Qi(1)])
     x = MultiPoly.variable(1, 0)
-    assert loc.local_generators == [x - MultiPoly.one(1)]
+    assert loc.generators == [x - MultiPoly.one(1)]
     assert loc.degrees == [1]
-    assert loc.psi_a == chart.phi
-    assert loc.phi_a_local == MultiPoly.one(1)
-    assert not loc.psi_a.evaluate([Qi(1)]).is_zero()
+    assert loc.psi == chart.phi
+    assert loc.phi == MultiPoly.one(1)
+    assert not loc.psi.evaluate([Qi(1)]).is_zero()
 
 
 def test_local_chart_origin_reproduces_global():
     for name in ("sl2-so2", "sl3-so21"):
-        pair = catalog_pair(name)
-        system = restricted_roots(pair)
-        weyl = weyl_group(system, pair.kappa_on_cartan())
-        chart = build_chart(pair)
-        loc = local_chart(system, weyl, chart, [Qi(0)] * weyl.dim)
-        assert loc.local_generators == chart.generators
+        chart = build_chart(catalog_pair(name))
+        n = chart.weyl.dim
+        loc = local_chart(chart, [Qi(0)] * n)
+        assert loc.generators == chart.generators
         assert loc.degrees == chart.degrees
-        assert loc.psi_a == MultiPoly.one(weyl.dim)
-        assert loc.phi_a_local == chart.phi
+        assert loc.psi == MultiPoly.one(n)
+        assert loc.phi == chart.phi
 
 
 def test_local_chart_subregular_sl3():
-    pair = catalog_pair("sl3-so21")
-    system = restricted_roots(pair)
-    weyl = weyl_group(system, pair.kappa_on_cartan())
-    chart = build_chart(pair)
+    chart = build_chart(catalog_pair("sl3-so21"))
     point = [Qi(1), Qi(0)]
-    loc = local_chart(system, weyl, chart, point)
+    loc = local_chart(chart, point)
     assert loc.degrees == [2, 1]
     x0 = MultiPoly.variable(2, 0)
     x1 = MultiPoly.variable(2, 1)
-    assert loc.local_generators[0] == x1 * x1
-    assert loc.local_generators[1] == x0 - MultiPoly.one(2)
+    assert loc.generators[0] == x1 * x1
+    assert loc.generators[1] == x0 - MultiPoly.one(2)
     # psi collects the four nonvanishing roots: (9x^2 + y^2)^2
     base = _mono(2, (2, 0), 9) + _mono(2, (0, 2), 1)
-    assert loc.psi_a == base * base
-    assert loc.phi_a_local == _mono(2, (0, 2), 4)
-    assert loc.psi_a * loc.phi_a_local == chart.phi
-    assert loc.psi_a.evaluate(point) == Qi(81)
+    assert loc.psi == base * base
+    assert loc.phi == _mono(2, (0, 2), 4)
+    assert loc.psi * loc.phi == chart.phi
+    assert loc.psi.evaluate(point) == Qi(81)
 
 
 def test_slice_factorization_every_pair_random_points():
     rng = random.Random(21)
     for pair in catalog():
-        system = restricted_roots(pair)
-        weyl = weyl_group(system, pair.kappa_on_cartan())
         chart = build_chart(pair)
+        n = chart.weyl.dim
         for _ in range(4):
-            pt = [Qi(rng.randint(-3, 3)) for _ in range(weyl.dim)]
-            loc = local_chart(system, weyl, chart, pt)
-            assert loc.psi_a * loc.phi_a_local == chart.phi
-            assert not loc.psi_a.evaluate(pt).is_zero()
-            assert loc.phi_a_local.evaluate(pt).is_zero() or loc.phi_a_local == MultiPoly.one(weyl.dim)
+            pt = [Qi(rng.randint(-3, 3)) for _ in range(n)]
+            loc = local_chart(chart, pt)
+            assert loc.psi * loc.phi == chart.phi
+            assert not loc.psi.evaluate(pt).is_zero()
+            assert loc.phi.evaluate(pt).is_zero() or loc.phi == MultiPoly.one(n)
 
 
 def test_zero_set_matches_root_hyperplanes():
@@ -299,8 +289,7 @@ LOCAL_GRAM_CONSTANTS = {
 
 def test_local_gram_identity_at_slice_points():
     for name, cases in LOCAL_GRAM_CONSTANTS.items():
-        pair, system, weyl = _setup(name)
-        chart = build_chart(pair)
+        chart = build_chart(catalog_pair(name))
         for pt, c in cases:
-            loc = local_chart(system, weyl, chart, [Qi(v) for v in pt])
+            loc = local_chart(chart, [Qi(v) for v in pt])
             assert loc.gram_constant == Qi(c), (name, pt)

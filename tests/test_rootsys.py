@@ -12,7 +12,7 @@ from symcart import exactalg, liesym
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import mat_vec
 from symcart.invariants import build_chart
-from symcart.liesym import catalog, catalog_pair, load_pair
+from symcart.liesym import catalog, catalog_pair, centralizer_in_q, load_pair
 from symcart.rootsys import (
     SpectrumError,
     local_subsystem,
@@ -194,6 +194,9 @@ def test_spectrum_outside_qi_is_refused():
     pair = load_pair(definition)
     with pytest.raises(SpectrumError, match="pair unsupported"):
         restricted_roots(pair)
+    # at a point the message names the matrix, not restricted roots
+    with pytest.raises(SpectrumError, match=r"^the minimal polynomial of matrix 0 does not split"):
+        centralizer_in_q(pair, [Qi(0), Qi(1), Qi(0)])
 
 
 @functools.cache

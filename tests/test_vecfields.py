@@ -199,7 +199,7 @@ def test_derivation_is_certified_once_for_its_group():
         MultiPoly.constant(1, Qi(Fraction(1, 2)))
     ]
     # the local group at a regular point is trivial, so t is invariant
-    trivial = local_chart(system, weyl, chart, [Qi(1)]).weyl
+    trivial = local_chart(chart, [Qi(1)]).weyl
     assert trivial.order == 1 and trivial != chart.weyl
     D = InvariantDerivation([t], trivial)
     for check in (ideal_stable, lift_derivation):
@@ -285,7 +285,7 @@ def test_transition_identity_at_origin():
     for name in ("sl2-so2", "sl2-diagonal", "sl3-so21"):
         chart, system, weyl = _chart(name)
         n = weyl.dim
-        loc = local_chart(system, weyl, chart, [Qi(0)] * n)
+        loc = local_chart(chart, [Qi(0)] * n)
         m, _ = transition_matrix(chart, loc)
         expected = [
             [MultiPoly.one(n) if i == j else MultiPoly.zero(n) for j in range(n)]
@@ -296,7 +296,7 @@ def test_transition_identity_at_origin():
 
 def test_transition_regular_sl2_exact():
     chart, system, weyl = _chart("sl2-so2")
-    loc = local_chart(system, weyl, chart, [Qi(1)])
+    loc = local_chart(chart, [Qi(1)])
     m, _ = transition_matrix(chart, loc)
     # grad q1 is the constant field 1/2, grad p1 = t, so m = (2t)
     t = MultiPoly.variable(1, 0)
@@ -313,7 +313,7 @@ def test_transition_three_point_classes():
         if pair.name == "sl3-so21":
             points.append([Qi(1), Qi(0)])
         for pt in points:
-            loc = local_chart(system, weyl, chart, pt)
+            loc = local_chart(chart, pt)
             m, _ = transition_matrix(chart, loc)
             for j in range(n):
                 rebuilt = PolyVectorField.zero(n)
