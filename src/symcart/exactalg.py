@@ -3,6 +3,10 @@ polynomials over them, and linear algebra over both.
 
 Everything downstream computes in Q(i). The monomial order is graded
 reverse lexicographic, fixed once here; no floating point anywhere.
+`mat_mul`, `mat_vec`, `mat_transpose` and `mat_det` take Q(i) or
+MultiPoly entries; `mat_det` is the one determinant for both, by
+fraction-free elimination whose exact divisions are checked, and
+`det_adjugate` takes its minors from it.
 """
 
 from __future__ import annotations
@@ -540,48 +544,26 @@ def poly_divides(f: MultiPoly, p: MultiPoly):
 
 # ------------------------------------------------------------------ matrices
 
-def _det_cofactor(M, zero):
-    n = len(M)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return M[0][0]
-    acc = zero
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = M[0][j] * _det_cofactor(minor, zero)
-        acc = acc + term if sign > 0 else acc - term
-        sign = -sign
-    return acc
-
-
 def det_adjugate(M):
-    """Determinant and adjugate of a square MultiPoly matrix.
+    """Determinant and adjugate of a square MultiPoly matrix, both taken
+    from `mat_det`: adj[i][j] is (-1)^(i+j) times the minor of M without
+    row j and column i.
 
     M * adj = det * identity as an exact polynomial identity.
     """
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix is not square")
-    nv = M[0][0].num_vars
-    zero = MultiPoly.zero(nv)
-    one = MultiPoly.one(nv)
-    det = _det_cofactor(M, zero)
+    det = mat_det(M)
     if n == 1:
-        return det, [[one]]
-    adj = [[zero for _ in range(n)] for _ in range(n)]
+        return det, [[MultiPoly.one(det.num_vars)]]
+    adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [M[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _det_cofactor(minor, zero)
-            if (i + j) % 2:
-                cof = -cof
-            adj[i][j] = cof
+            minor = mat_det(
+                [[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            )
+            adj[i][j] = -minor if (i + j) % 2 else minor
     return det, adj
 
 
@@ -656,31 +638,50 @@ def mat_transpose(A):
 
 
 def mat_det(A):
-    """Determinant of a square Q(i) matrix by Gaussian elimination: the
-    product of the pivots, negated once per row swap."""
+    """Determinant of a square matrix whose entries are all in Q(i) or all
+    in Q(i)[x], by fraction-free (Bareiss) elimination with row swaps.
+
+    After step k every entry below and right of the pivot is a minor of
+    the row-permuted matrix of size k + 2, so dividing it by the previous
+    pivot is exact (Bareiss, Math. Comp. 22, 1968): plain `/` over Q(i),
+    and over Q(i)[x] a division whose remainder is certified zero. The
+    last entry is the determinant up to the sign of the swaps. A singular
+    matrix returns the zero of its entries' type.
+    """
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
     rows = [list(r) for r in A]
-    det = QI_ONE
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not rows[i][col].is_zero()), None)
+    negate = False
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
         if piv is None:
-            return QI_ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        p = rows[col][col]
-        det = det * p
-        inv = QI_ONE / p
-        for i in range(col + 1, n):
-            if not rows[i][col].is_zero():
-                f = rows[i][col] * inv
-                for j in range(col + 1, n):
-                    rows[i][j] = rows[i][j] - f * rows[col][j]
-    return det
+            return rows[k][k]
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            negate = not negate
+        p = rows[k][k]
+        for i in range(k + 1, n):
+            a = rows[i][k]
+            for j in range(k + 1, n):
+                if a.is_zero() and rows[i][j].is_zero():
+                    continue  # the update keeps a zero entry zero
+                x = p * rows[i][j] - a * rows[k][j]
+                if k and isinstance(x, MultiPoly):
+                    x, r = x.divmod_by(prev)
+                    if not r.is_zero():
+                        raise CertificationError(
+                            "det_division_exact",
+                            {"size": n, "step": k, "remainder": r.render()},
+                        )
+                elif k:
+                    x = x / prev
+                rows[i][j] = x
+        prev = p
+    det = rows[-1][-1]
+    return -det if negate else det
 
 
 def mat_inverse(A):

@@ -20,7 +20,7 @@ from .exactalg import (
     mat_transpose,
 )
 from .invariants import build_chart
-from .liesym import _commutator, catalog_pair
+from .liesym import SL3_SO21_H, SL3_SO21_Q, _commutator, catalog_pair
 
 Qi = GaussianRational
 _I = Qi(0, 1)
@@ -32,21 +32,11 @@ def _m(rows):
 
 I21 = _m([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
-# +1 eigenvectors of the involution A -> -I21 (transpose A) I21
-H_BASIS = [
-    _m([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
-    _m([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-    _m([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-]
-
-# -1 eigenvectors, parameters (a, b, c, d, e)
-Q_BASIS = [
-    _m([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
-    _m([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-    _m([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
-    _m([[0, 0, 0], [0, 1, 0], [0, 0, -1]]),
-    _m([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
-]
+# +1 and -1 eigenvectors of the involution A -> -I21 (transpose A) I21,
+# the matrices the catalog builds sl3-so21 from; q has parameters
+# (a, b, c, d, e)
+H_BASIS = [_m(h) for h in SL3_SO21_H]
+Q_BASIS = [_m(q) for q in SL3_SO21_Q]
 
 # the Cartan subspace, parameters (x, y)
 A_BASIS = [

@@ -16,9 +16,11 @@ from .exactalg import (
     MultiPoly,
     _grevlex_key,
     det_adjugate,
+    mat_det,
     mat_inverse,
     mat_mul,
     mat_transpose,
+    mat_vec,
     poly_divides,
     render_matrix,
     render_vector,
@@ -149,7 +151,7 @@ def invariant_generators(weyl):
             "degrees_product", {"degrees": degrees, "order": weyl.order}
         )
     jac = [[p.partial(j) for j in range(n)] for p in adopted]
-    jdet, _ = det_adjugate(jac)
+    jdet = mat_det(jac)
     if jdet.is_zero():
         raise CertificationError("jacobian_nonzero", {"jacobian_det": jdet.render()})
     return adopted, degrees
@@ -176,12 +178,7 @@ def gradient(f, kappa_on_a):
         kinv = mat_inverse(kappa_on_a)
     except ValueError:
         raise ValueError("invariant form is degenerate on a") from None
-    parts = [f.partial(i) for i in range(n)]
-    comps = [
-        sum((kinv[i][j] * parts[j] for j in range(n)), MultiPoly.zero(n))
-        for i in range(n)
-    ]
-    return PolyVectorField(comps)
+    return PolyVectorField(mat_vec(kinv, [f.partial(i) for i in range(n)]))
 
 
 def _gram(generators, gradients, phi):
@@ -195,9 +192,8 @@ def _gram(generators, gradients, phi):
     ]
     det, adj = det_adjugate(A)
     zero = MultiPoly.zero(det.num_vars)
-    for i in range(n):
-        for j in range(n):
-            entry = sum((adj[i][k] * A[k][j] for k in range(n)), zero)
+    for i, row in enumerate(mat_mul(adj, A)):
+        for j, entry in enumerate(row):
             if entry != (det if i == j else zero):
                 raise CertificationError(
                     "adjugate_identity",

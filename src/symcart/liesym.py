@@ -133,12 +133,7 @@ class LieAlgebra:
         B = [[Qi(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                t = Qi(0)
-                for r in range(n):
-                    for s in range(n):
-                        t = t + ads[i][r][s] * ads[j][s][r]
-                B[i][j] = t
-                B[j][i] = t
+                B[i][j] = B[j][i] = _trace_prod(ads[i], ads[j])
         return B
 
 
@@ -392,23 +387,29 @@ def _build_sl2_so2():
     return _pair_from_matrices("sl2-so2", [r], [e, f], [[0, 1, 0]])
 
 
+# sl(3) split by A -> -I21 A^T I21, I21 = diag(1, 1, -1): the +1 and -1
+# eigenvectors of the involution, as integer matrices
+SL3_SO21_H = [
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+    [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+]
+SL3_SO21_Q = [
+    [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+    [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+]
+
+
 def _build_sl3_so21():
-    h1 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-    h2 = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
-    h3 = [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
-    q1 = [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
-    q2 = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
-    q3 = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-    q4 = [[0, 0, 0], [0, 1, 0], [0, 0, -1]]
-    q5 = [[0, 0, 0], [0, 0, 1], [0, -1, 0]]
     # Cartan subspace: x-direction q1 - 2*q4, y-direction q3
     cartan = [
         [0, 0, 0, 1, 0, 0, -2, 0],
         [0, 0, 0, 0, 0, 1, 0, 0],
     ]
-    return _pair_from_matrices(
-        "sl3-so21", [h1, h2, h3], [q1, q2, q3, q4, q5], cartan
-    )
+    return _pair_from_matrices("sl3-so21", SL3_SO21_H, SL3_SO21_Q, cartan)
 
 
 def _build_abelian2():

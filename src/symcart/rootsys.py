@@ -35,7 +35,8 @@ def _key(v):
     return tuple(map(_key, v))
 
 
-MAX_WEYL_ELEMENTS = 100000
+# |W(F4)|, the largest Weyl group of rank 4; read at every closure
+MAX_WEYL_ELEMENTS = 1152
 
 
 @dataclass
@@ -56,11 +57,11 @@ class WeylGroup:
     """Finite matrix group on a_C, generated by root reflections.
 
     `elements` is the closure of `generators` under multiplication, in
-    `_key` order; a closure past `max_elements` is refused with a
+    `_key` order; a closure past `MAX_WEYL_ELEMENTS` is refused with a
     ValueError.
     """
 
-    def __init__(self, dim, generators, kappa_on_a, max_elements=MAX_WEYL_ELEMENTS):
+    def __init__(self, dim, generators, kappa_on_a):
         ident = mat_identity(dim)
         closure = {_key(ident): ident}
         todo = [ident]
@@ -70,9 +71,10 @@ class WeylGroup:
                 p = mat_mul(w, g)
                 k = _key(p)
                 if k not in closure:
-                    if len(closure) >= max_elements:
+                    if len(closure) >= MAX_WEYL_ELEMENTS:
                         raise ValueError(
-                            f"Weyl closure exceeded the safety bound of {max_elements} elements"
+                            "Weyl closure exceeded the safety bound of "
+                            f"{MAX_WEYL_ELEMENTS} elements"
                         )
                     closure[k] = p
                     todo.append(p)
@@ -167,7 +169,7 @@ def _joint_eigenspaces(ads):
     return roots, zero_dim
 
 
-def weyl_group(roots, kappa_on_a, max_elements=MAX_WEYL_ELEMENTS):
+def weyl_group(roots, kappa_on_a):
     """The group generated by the root reflections s_a built from the
     kappa-induced form.
 
@@ -223,7 +225,7 @@ def weyl_group(roots, kappa_on_a, max_elements=MAX_WEYL_ELEMENTS):
                     },
                 )
 
-    return WeylGroup(dim, generators, kappa_on_a, max_elements)
+    return WeylGroup(dim, generators, kappa_on_a)
 
 
 def local_subsystem(system, weyl, a_point):

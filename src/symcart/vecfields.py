@@ -13,8 +13,10 @@ from .exactalg import (
     CertificationError,
     GaussianRational,
     MultiPoly,
-    det_adjugate,
+    mat_det,
     mat_inverse,
+    mat_transpose,
+    mat_vec,
     render_vector,
     solve_exact,
 )
@@ -110,14 +112,9 @@ class NotLiftable:
 
 def _push(w, X):
     # the field w . X(w^{-1} x)
-    n = X.dim
     winv = mat_inverse(w)
-    moved = [c.compose_linear(winv) for c in X.components]
     return PolyVectorField(
-        [
-            sum((w[i][j] * moved[j] for j in range(n)), MultiPoly.zero(n))
-            for i in range(n)
-        ]
+        mat_vec(w, [c.compose_linear(winv) for c in X.components])
     )
 
 
@@ -147,13 +144,9 @@ def _cramer(chart, images):
     certified adj(A) A = det(A) I with det(A) = c phi, so R_i is
     psi_i / phi for psi_i = sum_j adj_ji X(p_j) / c.
     """
-    adj = chart.gram_adjugate
     cinv = Qi(1) / chart.gram_constant
     quotients = []
-    for i in range(len(images)):
-        psi = MultiPoly.zero(chart.weyl.dim)
-        for j, img in enumerate(images):
-            psi = psi + adj[j][i] * img
+    for i, psi in enumerate(mat_vec(mat_transpose(chart.gram_adjugate), images)):
         psi = psi * cinv
         q, r = psi.divmod_by(chart.phi)
         if not r.is_zero():
@@ -189,12 +182,8 @@ def solomon_decompose(X, chart):
 
 def field_from_coefficients(coeffs, chart):
     """The field sum coeff_i grad(p_i)."""
-    n = chart.weyl.dim
-    comps = [MultiPoly.zero(n) for _ in range(n)]
-    for f, g in zip(coeffs, chart.gradients):
-        for i in range(n):
-            comps[i] = comps[i] + f * g.components[i]
-    return PolyVectorField(comps)
+    grads = mat_transpose([g.components for g in chart.gradients])
+    return PolyVectorField(mat_vec(grads, coeffs))
 
 
 def induce_derivation(coeffs, chart):
@@ -305,7 +294,7 @@ def transition_matrix(chart, local):
                     "transition_entries_invariant",
                     {"row": i, "column": j, "entry": m[i][j].render()},
                 )
-    det, _ = det_adjugate(m)
+    det = mat_det(m)
     if det.evaluate(local.base_point).is_zero():
         raise CertificationError(
             "transition_det_nonzero",

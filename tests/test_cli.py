@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import symcart
-from symcart import cli
+from symcart import cli, rootsys
 from symcart.exactalg import CertificationError, GaussianRational as Qi, MultiPoly
 from symcart.liesym import MAX_PAIR_DIM
 from symcart.rootsys import RestrictedRoot, weyl_group
@@ -111,6 +111,16 @@ def test_weyl_sl2(capsys):
     assert [["-1"]] in res["elements"]
     assert [["1"]] in res["elements"]
     assert check_map(report)["weyl_permutes_roots"]["passed"]
+
+
+def test_weyl_closure_bound_is_input_error(capsys, monkeypatch):
+    # |W| = 6 for sl3-so21, one past a bound of 5
+    monkeypatch.setattr(rootsys, "MAX_WEYL_ELEMENTS", 5)
+    code, report = run_json(["weyl", "--pair", "sl3-so21"], capsys)
+    assert code == 3
+    assert report["error"]["message"] == (
+        "Weyl closure exceeded the safety bound of 5 elements"
+    )
 
 
 def test_permutation_check_reports_a_non_permuting_generator():

@@ -1,6 +1,8 @@
-"""Property tests for the elimination determinant `mat_det`, against the
-cofactor expansion in `_oracles` and against sympy, on Gaussian-rational
-matrices that include singular ones and zero leading pivots."""
+"""Property tests for the fraction-free determinant `mat_det` and the
+adjugate built from its minors, against the cofactor expansion in
+`_oracles` and against sympy. Matrices have Gaussian-rational entries or
+polynomial entries in two variables of degree at most 2, and include
+singular ones and zero leading pivots."""
 
 import pytest
 import sympy
@@ -8,41 +10,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import det_cofactor
+from symcart.exactalg import CertificationError, MultiPoly, det_adjugate, mat_det, mat_mul
 from symcart.exactalg import GaussianRational as Qi
-from symcart.exactalg import mat_det, mat_mul
 
 _parts = st.one_of(
     st.just(0),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
 )
-_entries = st.builds(Qi, _parts, _parts)
+_scalars = st.builds(Qi, _parts, _parts)
+_exponents = st.sampled_from([(a, b) for a in range(3) for b in range(3 - a)])
+_polys = st.dictionaries(_exponents, _scalars, max_size=3).map(
+    lambda terms: MultiPoly(2, terms)
+)
 
 
 @st.composite
-def _matrices(draw, n):
-    rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+def _matrices(draw, n, entries):
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
         # a zero (0,0) entry: elimination must swap rows or report zero
-        rows[0][0] = Qi(0)
+        rows[0][0] = 0 * rows[0][0]
     if n > 1 and draw(st.booleans()):
         # last row a combination of the others: singular
-        c, d = draw(_entries), draw(_entries)
+        c, d = draw(_scalars), draw(_scalars)
         rows[-1] = [c * a + d * b for a, b in zip(rows[0], rows[n - 2])]
     return rows
 
 
-_square = st.integers(1, 5).flatmap(_matrices)
-_square_pairs = st.integers(1, 4).flatmap(
-    lambda n: st.tuples(_matrices(n), _matrices(n))
-)
+def _square(entries, max_n):
+    return st.integers(1, max_n).flatmap(lambda n: _matrices(n, entries))
+
+
+def _square_pairs(entries, max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(_matrices(n, entries), _matrices(n, entries))
+    )
+
+
+_X = sympy.symbols("x0 x1")
 
 
 def _to_sympy(x):
+    if isinstance(x, MultiPoly):
+        return sum(
+            (_to_sympy(c) * _X[0] ** a * _X[1] ** b for (a, b), c in x.terms.items()),
+            sympy.Integer(0),
+        )
     return sympy.Rational(x.real) + sympy.I * sympy.Rational(x.imag)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_square)
+@given(st.one_of(_square(_scalars, 5), _square(_polys, 4)))
 def test_mat_det_matches_cofactor_and_sympy(A):
     d = mat_det(A)
     assert d == det_cofactor(A)
@@ -51,10 +69,21 @@ def test_mat_det_matches_cofactor_and_sympy(A):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_square_pairs)
+@given(st.one_of(_square_pairs(_scalars, 4), _square_pairs(_polys, 3)))
 def test_mat_det_is_multiplicative(AB):
     A, B = AB
     assert mat_det(mat_mul(A, B)) == mat_det(A) * mat_det(B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square(_polys, 4))
+def test_adjugate_times_matrix_is_det_identity(M):
+    det, adj = det_adjugate(M)
+    zero = MultiPoly.zero(2)
+    n = len(M)
+    assert mat_mul(M, adj) == [
+        [det if i == j else zero for j in range(n)] for i in range(n)
+    ]
 
 
 def test_mat_det_row_swap_and_zero_column():
@@ -63,6 +92,34 @@ def test_mat_det_row_swap_and_zero_column():
     # the second column has no pivot once the first is eliminated
     no_pivot = [[Qi(1), Qi(2), Qi(0)], [Qi(2), Qi(4), Qi(0)], [Qi(0), Qi(0), Qi(5)]]
     assert mat_det(no_pivot) == Qi(0)
+
+
+def test_singular_polynomial_matrix_has_polynomial_zero_det():
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    zero = MultiPoly.zero(2)
+    # a zero last pivot, and a column with no pivot at all
+    for M in ([[x, y], [x * x, x * y]], [[zero, y], [zero, x]]):
+        d = mat_det(M)
+        assert isinstance(d, MultiPoly) and d.is_zero()
+        assert d.render() == "(0)"
+
+
+def test_inexact_polynomial_division_is_certified(monkeypatch):
+    divmod_by = MultiPoly.divmod_by
+
+    def inexact(self, p):
+        q, r = divmod_by(self, p)
+        return q, r + MultiPoly.one(self.num_vars)
+
+    monkeypatch.setattr(MultiPoly, "divmod_by", inexact)
+    x = MultiPoly.variable(1, 0)
+    one = MultiPoly.one(1)
+    zero = MultiPoly.zero(1)
+    with pytest.raises(CertificationError) as info:
+        mat_det([[x, one, zero], [one, x, one], [zero, one, x]])
+    assert info.value.name == "det_division_exact"
+    assert info.value.witness == {"size": 3, "step": 1, "remainder": "(1)"}
 
 
 def test_mat_det_rejects_empty_and_non_square():

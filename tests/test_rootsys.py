@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from _oracles import SL3_ROOT_SET, matrix_key, same_span, sl3_weyl_matrices_by_weight_permutations
-from symcart import exactalg, liesym
+from symcart import exactalg, liesym, rootsys
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import mat_vec
 from symcart.invariants import build_chart
@@ -132,11 +132,12 @@ def test_weyl_elements_permute_roots():
             assert moved == mults or not system.roots
 
 
-def test_weyl_closure_bound():
+def test_weyl_closure_bound(monkeypatch):
     pair = catalog_pair("sl3-so21")
     system = restricted_roots(pair)
+    monkeypatch.setattr(rootsys, "MAX_WEYL_ELEMENTS", 3)
     with pytest.raises(ValueError, match="closure"):
-        weyl_group(system, pair.kappa_on_cartan(), max_elements=3)
+        weyl_group(system, pair.kappa_on_cartan())
 
 
 def test_local_subsystem_regular_and_origin():
