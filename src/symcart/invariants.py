@@ -6,6 +6,7 @@ product of the reduced restricted roots, and the Gram determinant
 identity that ties the two together.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from .exactalg import (
     poly_divides,
     render_matrix,
     render_vector,
+    solve_exact,
 )
 from .rootsys import WeylGroup, local_subsystem, restricted_roots, weyl_group
 
@@ -93,6 +95,29 @@ def _weighted_products(gens, degrees, d, num_vars):
                 p = p * g**k
         out.append((e, p))
     return out
+
+
+def _phi_in_generators(chart):
+    # exact subalgebra membership: phi = Phi(p_1..p_l), Phi in rank variables
+    phi = chart.phi
+    products = _weighted_products(
+        chart.generators, chart.degrees, phi.degree(), chart.weyl.dim
+    )
+    monos = set(phi.terms)
+    for _, p in products:
+        monos.update(p.terms)
+    monos = sorted(monos)
+    A = [[p.terms.get(m, Qi(0)) for _, p in products] for m in monos]
+    rhs = [phi.terms.get(m, Qi(0)) for m in monos]
+    sol = solve_exact(A, rhs)
+    if sol.particular is None:
+        raise CertificationError("phi_in_generators", {"phi": phi.render()})
+    if sol.kernel:
+        raise CertificationError(
+            "generator_products_independent", {"degree": phi.degree()}
+        )
+    exponents = [e for e, _ in products]
+    return MultiPoly(chart.rank, dict(zip(exponents, sol.particular)))
 
 
 def invariant_basis(weyl, d):
@@ -181,15 +206,10 @@ def gradient(f, kappa_on_a):
     return PolyVectorField(mat_vec(kinv, [f.partial(i) for i in range(n)]))
 
 
-def _gram(generators, gradients, phi):
-    """Gram matrix A_ij = grad(p_i) . p_j with its adjugate and
-    determinant, certified once per chart: adj(A) A = det(A) I, and
-    det(A) is a nonzero constant multiple c of phi."""
-    n = len(generators)
-    A = [
-        [gradients[i].apply_to(generators[j]) for j in range(n)]
-        for i in range(n)
-    ]
+def _gram(A, phi):
+    """Adjugate and determinant of the Gram matrix A, certified once per
+    chart: adj(A) A = det(A) I, and det(A) is a nonzero constant multiple
+    c of phi."""
     det, adj = det_adjugate(A)
     zero = MultiPoly.zero(det.num_vars)
     for i, row in enumerate(mat_mul(adj, A)):
@@ -207,18 +227,19 @@ def _gram(generators, gradients, phi):
     c = q.constant_term()
     if c.is_zero():
         raise CertificationError("gram_constant_nonzero", {"gram_det": det.render()})
-    return A, adj, det, c
+    return adj, det, c
 
 
 class Chart:
     """Chart carried by a complete set of basic invariants of a group.
 
-    The gradients are taken through the group's invariant form, and the
-    Gram data (matrix, adjugate, determinant and its constant ratio to
-    phi) come from one certified `_gram` call. `build_chart` adds the
-    restricted root system as `system`; `local_chart` adds `base_point`
-    and the factor `psi` of the global root product that does not vanish
-    there.
+    The gradients are taken through the group's invariant form. The Gram
+    matrix A_ij = grad(p_i) . p_j is G J^T for the gradient matrix G (one
+    gradient per row) and the Jacobian J of the generators, and its
+    adjugate, determinant and constant ratio to phi come from one
+    certified `_gram` call. `build_chart` adds the restricted root system
+    as `system`; `local_chart` adds `base_point` and the factor `psi` of
+    the global root product that does not vanish there.
     """
 
     def __init__(self, generators, degrees, weyl, phi):
@@ -229,8 +250,18 @@ class Chart:
         self.phi = phi
         self.rank = len(generators)
         self.gradients = [gradient(p, weyl.kappa_on_a) for p in generators]
-        (self.gram_matrix, self.gram_adjugate, self.gram_det,
-         self.gram_constant) = _gram(generators, self.gradients, phi)
+        grads = [g.components for g in self.gradients]
+        jac = [[p.partial(j) for j in range(weyl.dim)] for p in generators]
+        self.gram_matrix = mat_mul(grads, mat_transpose(jac))
+        (self.gram_adjugate, self.gram_det,
+         self.gram_constant) = _gram(self.gram_matrix, phi)
+
+    @functools.cached_property
+    def phi_partials(self):
+        """The partials dPhi/dy_j, written in x, of the polynomial Phi
+        with phi = Phi(p_1, ..., p_l); solved once, on first use."""
+        Phi = _phi_in_generators(self)
+        return [Phi.partial(j).compose(self.generators) for j in range(self.rank)]
 
 
 def build_chart(pair, seed=0):

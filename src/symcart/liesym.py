@@ -19,6 +19,7 @@ from fractions import Fraction
 from .exactalg import (
     CertificationError,
     GaussianRational,
+    LinearSpan,
     Qi,
     joint_eigenspaces,
     kernel_basis,
@@ -28,7 +29,6 @@ from .exactalg import (
     mat_rank,
     mat_vec,
     parse_scalar,
-    solve_exact,
 )
 
 
@@ -350,22 +350,27 @@ def _pair_from_matrices(name, h_mats, q_mats, cartan_coords):
     mats = [_mat(m) for m in h_mats] + [_mat(m) for m in q_mats]
     dim = len(mats)
     size = len(mats[0])
-    # express commutators in the basis by exact linear solve
-    cols = [[m[r][c] for m in mats] for r in range(size) for c in range(size)]
-    structure = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        structure[i][i] = [Qi(0)] * dim
+    nn = size * size
+
+    def flat(m):
+        return [x for row in m for x in row]
+
+    # each basis matrix flattened and tagged with e_k in one span, so a
+    # commutator reduces to its flattened remainder followed by minus its
+    # coordinates in the basis (as matrix_min_poly reduces its powers)
+    span = LinearSpan(nn + dim)
+    for k, m in enumerate(mats):
+        span.add(flat(m) + [Qi(1) if t == k else Qi(0) for t in range(dim)])
+    structure = [[[Qi(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            target = _commutator(mats[i], mats[j])
-            flat = [target[r][c] for r in range(size) for c in range(size)]
-            sol = solve_exact(cols, flat)
-            if sol.particular is None:
+            v = span.reduce(flat(_commutator(mats[i], mats[j])) + [Qi(0)] * dim)
+            if any(not x.is_zero() for x in v[:nn]):
                 raise CertificationError(
                     "brackets_closed", {"pair": name, "basis_pair": [i, j]}
                 )
-            structure[i][j] = sol.particular
-            structure[j][i] = [-x for x in sol.particular]
+            structure[i][j] = [-x for x in v[nn:]]
+            structure[j][i] = v[nn:]
     algebra = LieAlgebra(dim, structure)
     nh = len(h_mats)
     sigma = [

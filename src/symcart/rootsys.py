@@ -21,6 +21,7 @@ from .exactalg import (
     mat_inverse,
     mat_mul,
     mat_rank,
+    mat_transpose,
     mat_vec,
     render_matrix,
     render_vector,
@@ -211,11 +212,9 @@ def weyl_group(roots, kappa_on_a):
         k = _key(r.functional)
         mults[k] = mults.get(k, 0) + r.multiplicity
     for g in generators:
+        gt = mat_transpose(g)
         for r in root_list:
-            image = [
-                sum((r.functional[k] * g[k][j] for k in range(dim)), Qi(0))
-                for j in range(dim)
-            ]
+            image = mat_vec(gt, r.functional)
             if mults.get(_key(image)) != mults[_key(r.functional)]:
                 raise CertificationError(
                     "weyl_permutes_roots",

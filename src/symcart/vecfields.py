@@ -18,9 +18,8 @@ from .exactalg import (
     mat_transpose,
     mat_vec,
     render_vector,
-    solve_exact,
 )
-from .invariants import _weighted_products, gradient, is_invariant
+from .invariants import gradient, is_invariant
 
 Qi = GaussianRational
 
@@ -187,9 +186,9 @@ def field_from_coefficients(coeffs, chart):
 
 
 def induce_derivation(coeffs, chart):
-    """Generator images of the derivation along sum coeff_i grad(p_i)."""
-    X = field_from_coefficients(coeffs, chart)
-    images = [X.apply_to(p) for p in chart.generators]
+    """Generator images of the derivation along sum coeff_i grad(p_i),
+    X(p_j) = sum_i coeff_i A_ij for the chart's Gram matrix A."""
+    images = mat_vec(mat_transpose(chart.gram_matrix), coeffs)
     return InvariantDerivation(images, chart.weyl)
 
 
@@ -198,53 +197,15 @@ def _check_images(D, chart):
         raise ValueError("derivation is certified for another group than the chart's")
 
 
-def _phi_in_generators(chart):
-    # exact subalgebra membership: phi as a polynomial in p_1..p_l
-    phi = chart.phi
-    gens = chart.generators
-    products = _weighted_products(
-        gens, chart.degrees, phi.degree(), chart.weyl.dim
-    )
-    monos = set(phi.terms)
-    for _, p in products:
-        monos.update(p.terms)
-    monos = sorted(monos)
-    A = [[p.terms.get(m, Qi(0)) for _, p in products] for m in monos]
-    rhs = [phi.terms.get(m, Qi(0)) for m in monos]
-    sol = solve_exact(A, rhs)
-    if sol.particular is None:
-        raise CertificationError("phi_in_generators", {"phi": phi.render()})
-    if sol.kernel:
-        raise CertificationError(
-            "generator_products_independent", {"degree": phi.degree()}
-        )
-    return {
-        e: c for (e, _), c in zip(products, sol.particular) if not c.is_zero()
-    }
-
-
 def ideal_stable(D, chart):
     """Whether the derivation preserves the ideal of the root product.
 
-    Returns (True, quotient) when phi divides D(phi), computed through
-    the expression of phi in the generators and the formal chain rule;
-    otherwise (False, nonzero remainder).
+    Returns (True, quotient) when phi divides D(phi), computed by the
+    chain rule D(phi) = sum_j dPhi/dy_j(p) D(p_j) from the chart's
+    `phi_partials`; otherwise (False, nonzero remainder).
     """
     _check_images(D, chart)
-    coeffs = _phi_in_generators(chart)
-    n = chart.rank
-    dphi = MultiPoly.zero(chart.weyl.dim)
-    for e, c in coeffs.items():
-        for j in range(n):
-            if not e[j]:
-                continue
-            term = MultiPoly.constant(chart.weyl.dim, c * e[j])
-            for idx, (g, k) in enumerate(zip(chart.generators, e)):
-                kk = k - 1 if idx == j else k
-                if kk:
-                    term = term * g**kk
-            term = term * D.images[j]
-            dphi = dphi + term
+    dphi = mat_vec([chart.phi_partials], D.images)[0]
     q, r = dphi.divmod_by(chart.phi)
     if r.is_zero():
         return True, q

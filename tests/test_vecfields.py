@@ -1,13 +1,17 @@
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from _oracles import average_field, average_poly, rand_poly
+from symcart import exactalg
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import MultiPoly, mat_identity
 from symcart.invariants import build_chart, gradient, is_invariant, local_chart
-from symcart.liesym import catalog, catalog_pair
+from symcart.liesym import catalog, catalog_pair, load_pair
 from symcart.rootsys import restricted_roots, weyl_group
 from symcart.vecfields import (
     InvariantDerivation,
@@ -15,6 +19,7 @@ from symcart.vecfields import (
     NotLiftable,
     PolyVectorField,
     default_truncation,
+    field_from_coefficients,
     ideal_stable,
     induce_derivation,
     is_invariant_field,
@@ -35,6 +40,13 @@ REGULAR_POINTS = {
     "sl3-so21": [Qi(1), Qi(1)],
     "abelian2": [Qi(1), Qi(1)],
 }
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fixture_chart(path):
+    return build_chart(load_pair(json.loads(path.read_text())))
 
 
 def _chart(name):
@@ -229,6 +241,58 @@ def test_ideal_stable_oracles():
             assert flag
             dphi = _induced_field(phis, chart).apply_to(chart.phi)
             assert quotient * chart.phi == dphi
+
+
+def test_euler_derivation_rank3_sl4_so4():
+    # the Euler field sum x_i d_i scales each homogeneous p_j by its degree,
+    # D(p_j) = d_j p_j, and maps phi to deg(phi) phi
+    chart = _fixture_chart(ROOT / "tests" / "fixtures" / "sl4-so4.json")
+    n = chart.weyl.dim
+    assert chart.rank == 3 and chart.phi.degree() == 12
+    images = [p * Qi(d) for p, d in zip(chart.generators, chart.degrees)]
+    D = InvariantDerivation(images, chart.weyl)
+    assert ideal_stable(D, chart) == (True, MultiPoly.constant(n, Qi(12)))
+    lifted = lift_derivation(D, chart)
+    assert field_from_coefficients(lifted, chart) == _euler(n)
+
+
+def test_gram_matrix_and_induced_images_match_the_field_formulas():
+    # A_ij = grad(p_i)(p_j) and X(p_j) for X = sum c_i grad(p_i), applied
+    # as fields, against the Jacobian product and the Gram matrix
+    charts = {pair.name: build_chart(pair) for pair in catalog()}
+    cubed = ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json"
+    charts["sl2-so2-cubed"] = _fixture_chart(cubed)
+    charts["local"] = local_chart(charts["sl3-so21"], [Qi(1), Qi(0)])
+    rng = random.Random(29)
+    for chart in charts.values():
+        gens = chart.generators
+        for i, grad in enumerate(chart.gradients):
+            assert chart.gram_matrix[i] == [grad.apply_to(p) for p in gens]
+        coeffs = [_rand_invariant(rng, chart.weyl, 2) for _ in gens]
+        X = field_from_coefficients(coeffs, chart)
+        assert induce_derivation(coeffs, chart).images == [X.apply_to(p) for p in gens]
+
+
+def test_phi_in_generators_is_solved_once_per_chart(monkeypatch):
+    # building the chart solves nothing; the first ideal_stable writes phi
+    # in the generators and the chart keeps the partials for later calls
+    calls = []
+    original = exactalg.solve_exact
+
+    def counted(A, b):
+        calls.append(len(A))
+        return original(A, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symcart" and (
+            getattr(module, "solve_exact", None) is original
+        ):
+            monkeypatch.setattr(module, "solve_exact", counted)
+    chart = build_chart(catalog_pair("sl3-so21"))
+    assert calls == []
+    D = InvariantDerivation([MultiPoly.one(2), MultiPoly.zero(2)], chart.weyl)
+    assert ideal_stable(D, chart) == ideal_stable(D, chart)
+    assert len(calls) == 1
 
 
 def test_lift_oracles():
