@@ -137,7 +137,6 @@ Qi = GaussianRational
 
 QI_ZERO = Qi(0)
 QI_ONE = Qi(1)
-QI_I = Qi(0, 1)
 
 
 def render_scalar(s: GaussianRational) -> str:
@@ -428,20 +427,18 @@ class MultiPoly:
 
     # -- rendering
 
-    def render(self, names=None):
+    def render(self):
         if not self.terms:
             return "(0)"
-        if names is None:
-            names = [f"x{i}" for i in range(self.num_vars)]
         pieces = []
         for e in sorted(self.terms, key=_grevlex_key, reverse=True):
             c = self.terms[e]
             factors = [f"({render_scalar(c)})"]
             for i, k in enumerate(e):
                 if k == 1:
-                    factors.append(names[i])
+                    factors.append(f"x{i}")
                 elif k > 1:
-                    factors.append(f"{names[i]}^{k}")
+                    factors.append(f"x{i}^{k}")
             pieces.append("*".join(factors))
         return " + ".join(pieces)
 
@@ -901,6 +898,7 @@ def joint_eigenspaces(mats):
         finer = []
         for func, basis in blocks:
             images = [mat_vec(A, v) for v in basis]
+            basis_t = mat_transpose(basis)
             filled = 0
             for lam in eigs:
                 # coordinates u with (A - lam) sum_k u_k basis_k = 0
@@ -908,13 +906,7 @@ def joint_eigenspaces(mats):
                     [w[r] - lam * v[r] for v, w in zip(basis, images)]
                     for r in range(n)
                 ]
-                sub = [
-                    [
-                        sum((u_k * v[r] for u_k, v in zip(u, basis)), QI_ZERO)
-                        for r in range(n)
-                    ]
-                    for u in kernel_basis(M)
-                ]
+                sub = [mat_vec(basis_t, u) for u in kernel_basis(M)]
                 if sub:
                     finer.append((func + (lam,), sub))
                     filled += len(sub)

@@ -117,10 +117,8 @@ def _check_dimensions():
 
 def _centralizer_in_q(point):
     # kernel of v -> [point, v] over the q coordinates
-    rows = []
-    for k in range(9):
-        rows.append([_flat(_commutator(point, q))[k] for q in Q_BASIS])
-    return kernel_basis(rows)
+    columns = [_flat(_commutator(point, q)) for q in Q_BASIS]
+    return kernel_basis(mat_transpose(columns))
 
 
 def _check_cartan():
@@ -159,17 +157,13 @@ def _check_witnesses(metric):
 
 def _check_fixed_space():
     m2 = MC_WITNESSES[1]
-    rows = []
-    for k in range(9):
-        row = []
-        for q in Q_BASIS:
-            moved = mat_mul(m2, mat_mul(q, mat_inverse(m2)))
-            diff = [
-                [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(moved, q)
-            ]
-            row.append(_flat(diff)[k])
-        rows.append(row)
-    kern = kernel_basis(rows)
+    m2inv = mat_inverse(m2)
+    # kernel of v -> m2 v m2^{-1} - v over the q coordinates
+    columns = []
+    for q in Q_BASIS:
+        moved = mat_mul(m2, mat_mul(q, m2inv))
+        columns.append([a - b for a, b in zip(_flat(moved), _flat(q))])
+    kern = kernel_basis(mat_transpose(columns))
     if len(kern) != 3:
         return False, "fixed space has dimension %d" % len(kern)
     qm_coords = [

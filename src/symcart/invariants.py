@@ -51,22 +51,6 @@ def is_invariant(f, weyl):
     return all(f.compose_linear(g) == f for g in weyl.generators)
 
 
-def monomials_of_degree(num_vars, d):
-    """All exponent tuples of total degree d, ascending grevlex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), d, num_vars)
-    out.sort(key=_grevlex_key)
-    return out
-
-
 def _weighted_exponents(degrees, total):
     # exponent tuples e with sum(e_i * degrees_i) == total
     out = []
@@ -83,6 +67,11 @@ def _weighted_exponents(degrees, total):
 
     rec(0, total, [])
     return out
+
+
+def monomials_of_degree(num_vars, d):
+    """All exponent tuples of total degree d, ascending grevlex."""
+    return sorted(_weighted_exponents([1] * num_vars, d), key=_grevlex_key)
 
 
 def _weighted_products(gens, degrees, d, num_vars):
@@ -122,21 +111,15 @@ def _phi_in_generators(chart):
 
 def invariant_basis(weyl, d):
     """Basis of the degree-d invariants: the independent Reynolds images
-    of the degree-d monomials, scanned in ascending grevlex order.
-
-    Built once per group and degree, and kept in `weyl.invariant_bases`.
-    """
-    basis = weyl.invariant_bases.get(d)
-    if basis is None:
-        n = weyl.dim
-        monos = monomials_of_degree(n, d)
-        span = LinearSpan(len(monos))
-        basis = []
-        for e in monos:
-            img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
-            if span.add(img.coefficient_vector(monos)):
-                basis.append(img)
-        weyl.invariant_bases[d] = basis
+    of the degree-d monomials, scanned in ascending grevlex order."""
+    n = weyl.dim
+    monos = monomials_of_degree(n, d)
+    span = LinearSpan(len(monos))
+    basis = []
+    for e in monos:
+        img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
+        if span.add(img.coefficient_vector(monos)):
+            basis.append(img)
     return basis
 
 
@@ -147,8 +130,9 @@ def invariant_generators(weyl):
     is adopted when it is new modulo products of the generators already
     found and the averages before it.  Averages that depend on earlier
     ones never change that span, so scanning the invariant basis adopts
-    the same generators.  The result is certified by the degree product
-    against the group order and by a nonvanishing Jacobian.
+    the same generators.  The result is certified by its count and by the
+    degree product against the group order; `Chart` certifies the
+    Jacobian.
     """
     n = weyl.dim
     adopted = []
@@ -175,10 +159,6 @@ def invariant_generators(weyl):
         raise CertificationError(
             "degrees_product", {"degrees": degrees, "order": weyl.order}
         )
-    jac = [[p.partial(j) for j in range(n)] for p in adopted]
-    jdet = mat_det(jac)
-    if jdet.is_zero():
-        raise CertificationError("jacobian_nonzero", {"jacobian_det": jdet.render()})
     return adopted, degrees
 
 
@@ -233,25 +213,35 @@ def _gram(A, phi):
 class Chart:
     """Chart carried by a complete set of basic invariants of a group.
 
-    The gradients are taken through the group's invariant form. The Gram
-    matrix A_ij = grad(p_i) . p_j is G J^T for the gradient matrix G (one
-    gradient per row) and the Jacobian J of the generators, and its
-    adjugate, determinant and constant ratio to phi come from one
-    certified `_gram` call. `build_chart` adds the restricted root system
-    as `system`; `local_chart` adds `base_point` and the factor `psi` of
-    the global root product that does not vanish there.
+    The Jacobian J of the generators is built and certified nonzero here,
+    once per chart. Gradient i is K^{-1} applied to row i of J, for the
+    group's invariant form K, inverted once. The Gram matrix
+    A_ij = grad(p_i) . p_j is G J^T for the gradient matrix G (one
+    gradient per row), and its adjugate, determinant and constant ratio
+    to phi come from one certified `_gram` call. `build_chart` adds the
+    restricted root system as `system`; `local_chart` adds `base_point`
+    and the factor `psi` of the global root product that does not vanish
+    there.
     """
 
     def __init__(self, generators, degrees, weyl, phi):
+        from .vecfields import PolyVectorField
+
         self.generators = generators
         self.degrees = degrees
         self.weyl = weyl
         self.kappa_on_a = weyl.kappa_on_a
         self.phi = phi
         self.rank = len(generators)
-        self.gradients = [gradient(p, weyl.kappa_on_a) for p in generators]
-        grads = [g.components for g in self.gradients]
         jac = [[p.partial(j) for j in range(weyl.dim)] for p in generators]
+        jdet = mat_det(jac)
+        if jdet.is_zero():
+            raise CertificationError(
+                "jacobian_nonzero", {"jacobian_det": jdet.render()}
+            )
+        kinv = mat_inverse(weyl.kappa_on_a)
+        grads = [mat_vec(kinv, row) for row in jac]
+        self.gradients = [PolyVectorField(g) for g in grads]
         self.gram_matrix = mat_mul(grads, mat_transpose(jac))
         (self.gram_adjugate, self.gram_det,
          self.gram_constant) = _gram(self.gram_matrix, phi)
@@ -292,9 +282,12 @@ def local_chart(chart, a_point):
     adapted to a = b + c, are certified block diagonal with the identity
     on c; products of such matrices are again such, so the b-blocks of
     the generators generate the group on b whose invariants give the
-    local generators.
+    local generators. They are the b-invariants of u_b and the
+    coordinates u_c, for u = T^{-1}(x - a) affine and invertible, so the
+    local Jacobian is nonzero exactly when the b-block one is; `Chart`
+    certifies it, at a regular point (b = 0) too.
     """
-    pt = [Qi._coerce(x) if not isinstance(x, Qi) else x for x in a_point]
+    pt = [Qi._coerce(x) for x in a_point]
     weyl = chart.weyl
     n = weyl.dim
     _, W_a, (b_basis, c_basis) = local_subsystem(chart.system, weyl, pt)

@@ -85,8 +85,6 @@ class WeylGroup:
         self.order = len(self.elements)
         self.kappa_on_a = kappa_on_a
         self._keys = set(closure)
-        # degree -> invariant basis, filled by invariants.invariant_basis
-        self.invariant_bases = {}
 
     def contains(self, m):
         return _key(m) in self._keys

@@ -282,9 +282,7 @@ class Jet:
                     "jet component %d is not homogeneous of its index degree"
                     % k
                 )
-        self.base_point = [
-            x if isinstance(x, Qi) else Qi._coerce(x) for x in base_point
-        ]
+        self.base_point = [Qi._coerce(x) for x in base_point]
         self.truncation_order = truncation_order
         self.components = list(components)
 
@@ -315,7 +313,7 @@ class Jet:
 
 def jet_of(f, a_point, N):
     """Exact re-expansion of f around a_point, truncated at order N."""
-    pt = [x if isinstance(x, Qi) else Qi._coerce(x) for x in a_point]
+    pt = [Qi._coerce(x) for x in a_point]
     g = f.shift(pt)
     parts = g.homogeneous_components()
     comps = [parts.get(k, MultiPoly.zero(f.num_vars)) for k in range(N + 1)]

@@ -458,6 +458,12 @@ MUTANTS = {
         "setattr(m, 'poly_divides', lambda f, p: None)",
         {"gram_det": "(2)*x0^2", "phi": "(-4)*x0^2"},
     ),
+    "jacobian_nonzero": (
+        ["generators", "--pair", "sl2-so2"],
+        "import symcart.invariants as m\n"
+        "setattr(m, 'mat_det', lambda M: M[0][0] * 0)",
+        {"jacobian_det": "(0)"},
+    ),
     "root_bookkeeping": (
         ["roots", "--pair", "sl2-so2"],
         "import symcart.rootsys as m\n"
@@ -530,3 +536,5 @@ def test_every_certification_has_one_raise_site():
     # adj(A) A = det(A) I is certified once per chart, where the Gram data
     # is built; the CLI does not render it as a check of its own
     assert sites["adjugate_identity"][0].startswith("invariants.py:")
+    # every chart, global or local, certifies its Jacobian where it is built
+    assert sites["jacobian_nonzero"][0].startswith("invariants.py:")

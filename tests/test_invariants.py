@@ -72,7 +72,6 @@ def test_generators_sl3_degrees_and_molien_oracle():
             span.add(img.coefficient_vector(monos))
         assert span.dim == weighted_partition_count((2, 3), d)
         assert len(invariant_basis(weyl, d)) == weighted_partition_count((2, 3), d)
-        assert invariant_basis(weyl, d) is invariant_basis(weyl, d)
 
 
 def _monomials(nvars, d):

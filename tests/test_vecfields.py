@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from _oracles import average_field, average_poly, rand_poly
-from symcart import exactalg
+from symcart import exactalg, invariants
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import MultiPoly, mat_identity
 from symcart.invariants import build_chart, gradient, is_invariant, local_chart
@@ -267,6 +267,7 @@ def test_gram_matrix_and_induced_images_match_the_field_formulas():
     for chart in charts.values():
         gens = chart.generators
         for i, grad in enumerate(chart.gradients):
+            assert grad == gradient(gens[i], chart.kappa_on_a)
             assert chart.gram_matrix[i] == [grad.apply_to(p) for p in gens]
         coeffs = [_rand_invariant(rng, chart.weyl, 2) for _ in gens]
         X = field_from_coefficients(coeffs, chart)
@@ -293,6 +294,25 @@ def test_phi_in_generators_is_solved_once_per_chart(monkeypatch):
     D = InvariantDerivation([MultiPoly.one(2), MultiPoly.zero(2)], chart.weyl)
     assert ideal_stable(D, chart) == ideal_stable(D, chart)
     assert len(calls) == 1
+
+
+def test_each_chart_inverts_the_invariant_form_once(monkeypatch):
+    # the gradients come from the one Jacobian through one inverse form;
+    # a local chart also inverts its adapted frame
+    calls = []
+    original = invariants.mat_inverse
+
+    def counted(A):
+        calls.append(len(A))
+        return original(A)
+
+    monkeypatch.setattr(invariants, "mat_inverse", counted)
+    chart = build_chart(catalog_pair("sl3-so21"))
+    assert len(calls) == 1
+    cubed = _fixture_chart(ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json")
+    assert len(calls) == 2 and cubed.rank == 3
+    local_chart(chart, [Qi(0), Qi(0)])
+    assert len(calls) == 4
 
 
 def test_lift_oracles():
