@@ -111,10 +111,6 @@ def _guard(fn, *args, **kwargs):
 
 # ---------------------------------------------------------------- rendering
 
-def _rpoly(p):
-    return p.render()
-
-
 def _certified(*names):
     """Checks the library certified while computing the results."""
     return [(name, True, None) for name in names]
@@ -259,7 +255,7 @@ def _jet_checks(chart, rng, samples, action_samples):
         f = _random_poly(rng, n, 4)
         g = _random_poly(rng, n, 4)
         if jet_of(f * g, base, N) != jet_mul(jet_of(f, base, N), jet_of(g, base, N)):
-            hom_ok, hom_wit = False, {"sample": k, "f": _rpoly(f), "g": _rpoly(g)}
+            hom_ok, hom_wit = False, {"sample": k, "f": f.render(), "g": g.render()}
             break
         J = jet_of(f, base, N)
         if f.evaluate(base).is_zero():
@@ -268,11 +264,11 @@ def _jet_checks(chart, rng, samples, action_samples):
             except ValueError:
                 pass
             else:
-                inv_ok, inv_wit = False, {"sample": k, "f": _rpoly(f)}
+                inv_ok, inv_wit = False, {"sample": k, "f": f.render()}
                 break
         else:
             if jet_mul(J, jet_invert(J)) != jet_unit(base, N, n):
-                inv_ok, inv_wit = False, {"sample": k, "f": _rpoly(f)}
+                inv_ok, inv_wit = False, {"sample": k, "f": f.render()}
                 break
     checks.append(("jet_homomorphism", hom_ok, hom_wit))
     checks.append(("jet_inverse", inv_ok, inv_wit))
@@ -290,7 +286,7 @@ def _jet_checks(chart, rng, samples, action_samples):
         out = jet_gradient_action(R, jet_of(f, base, N), K)
         direct = gradient(R, K).apply_to(f)
         if out != jet_of(direct, base, out.truncation_order):
-            act_ok, act_wit = False, {"sample": k, "f": _rpoly(f), "R": _rpoly(R)}
+            act_ok, act_wit = False, {"sample": k, "f": f.render(), "R": R.render()}
             break
     checks.append(("jet_gradient_action", act_ok, act_wit))
     return checks
@@ -363,7 +359,7 @@ def _pair_battery(pair, args):
 
     results = {
         "pair": pair.name,
-        "phi": _rpoly(chart.phi),
+        "phi": chart.phi.render(),
         "gram_constant": render_scalar(chart.gram_constant),
         "degrees": list(chart.degrees),
         "weyl_order": weyl.order,
@@ -438,7 +434,7 @@ def _cmd_generators(args, inputs):
     chart = _guard(build_chart, pair)
     results = {
         "pair": pair.name,
-        "generators": [_rpoly(p) for p in chart.generators],
+        "generators": [p.render() for p in chart.generators],
         "degrees": list(chart.degrees),
         "weyl_order": chart.weyl.order,
     }
@@ -451,10 +447,10 @@ def _cmd_phi(args, inputs):
     chart = _guard(build_chart, pair)
     results = {
         "pair": pair.name,
-        "phi": _rpoly(chart.phi),
+        "phi": chart.phi.render(),
         "gram_constant": render_scalar(chart.gram_constant),
-        "gram_det": _rpoly(chart.gram_det),
-        "gram_matrix": [[_rpoly(e) for e in row] for row in chart.gram_matrix],
+        "gram_det": chart.gram_det.render(),
+        "gram_matrix": [[e.render() for e in row] for row in chart.gram_matrix],
         "degrees": list(chart.degrees),
     }
     checks = _certified("gram_identity", "gram_constant_nonzero")
@@ -469,7 +465,7 @@ def _cmd_decompose(args, inputs):
     n = chart.weyl.dim
     inputs["field"], polys = _parse_poly_array(args.field, "field", n, n)
     coeffs = _guard(solomon_decompose, PolyVectorField(polys), chart)
-    results = {"pair": pair.name, "coefficients": [_rpoly(c) for c in coeffs]}
+    results = {"pair": pair.name, "coefficients": [c.render() for c in coeffs]}
     return _report("decompose", inputs, results, _certified("reconstruction_exact"))
 
 
@@ -490,13 +486,13 @@ def _cmd_lift(args, inputs):
         "pair": pair.name,
         "stable": stable,
         "liftable": liftable,
-        "coefficients": [_rpoly(c) for c in lifted] if liftable else None,
+        "coefficients": [c.render() for c in lifted] if liftable else None,
     }
     checks = [
         (
             "ideal_stable",
             stable,
-            None if stable else {"remainder": _rpoly(info)},
+            None if stable else {"remainder": info.render()},
         ),
         (
             "liftable",
@@ -505,8 +501,8 @@ def _cmd_lift(args, inputs):
             if liftable
             else {
                 "index": lifted.index,
-                "psi": _rpoly(lifted.psi),
-                "remainder": _rpoly(lifted.remainder),
+                "psi": lifted.psi.render(),
+                "remainder": lifted.remainder.render(),
             },
         ),
         (
@@ -528,13 +524,13 @@ def _cmd_slice(args, inputs):
     results = {
         "pair": pair.name,
         "point": render_vector(point),
-        "psi": _rpoly(loc.psi),
-        "phi_local": _rpoly(loc.phi),
+        "psi": loc.psi.render(),
+        "phi_local": loc.phi.render(),
         "psi_at_point": render_scalar(loc.psi.evaluate(point)),
-        "local_generators": [_rpoly(p) for p in loc.generators],
+        "local_generators": [p.render() for p in loc.generators],
         "degrees": list(loc.degrees),
         "local_weyl_order": loc.weyl.order,
-        "transition": [[_rpoly(e) for e in row] for row in m],
+        "transition": [[e.render() for e in row] for row in m],
         "transition_det_at_point": render_scalar(det.evaluate(point)),
     }
     # local_chart certifies the first two, transition_matrix the rest

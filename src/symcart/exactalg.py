@@ -743,29 +743,11 @@ class LinearSpan:
         return [row for _, row in self.rows]
 
 
-# ------------------------------------------------------------------ univariate
-
-def univ_trim(c):
-    c = list(c)
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def univ_degree(c):
-    c = univ_trim(c)
-    return len(c) - 1
-
-
-def univ_eval(c, x):
-    acc = QI_ZERO
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
+# ------------------------------------------------------------------ spectra
 
 def matrix_min_poly(A):
-    """Monic minimal polynomial of a square Q(i) matrix, ascending coeffs.
+    """Monic minimal polynomial of a square Q(i) matrix, a MultiPoly in
+    one variable.
 
     Each power A^k is flattened, tagged with the unit vector e_k and
     reduced in one span. Row operations keep every row a combination of
@@ -781,7 +763,7 @@ def matrix_min_poly(A):
         tag = [QI_ONE if j == k else QI_ZERO for j in range(n + 1)]
         v = span.reduce([x for row in power for x in row] + tag)
         if all(x.is_zero() for x in v[:nn]):
-            return univ_trim(v[nn:])
+            return MultiPoly(1, {(j,): c for j, c in enumerate(v[nn:])})
         span.add(v)
         power = mat_mul(power, A)
     raise CertificationError(
@@ -823,51 +805,40 @@ def _gaussian_int_divisors(a, b):
 
 
 def gaussian_rational_roots(f):
-    """Distinct roots of f in Q(i) plus a flag: does f split completely?
+    """Distinct roots in Q(i) of the one-variable MultiPoly f, plus a
+    flag: does f split completely?
 
     Candidate roots p/q come from Gaussian-integer divisors of the (cleared)
     constant and leading coefficients; each is verified by exact evaluation
-    and removed by deflation, so the flag is honest.
+    and removed by exact division by x - r, so the flag is honest.
     """
-    f = univ_trim(f)
-    if len(f) <= 1:
+    if f.degree() <= 0:
         return [], True
-    work = list(f)
+    x = MultiPoly.variable(1, 0)
     roots = []
     # strip roots at zero first
-    while work[0].is_zero():
-        if Qi(0) not in roots:
-            roots.append(Qi(0))
-        work = work[1:]
-    if len(work) <= 1:
+    while f.constant_term().is_zero():
+        if not roots:
+            roots.append(QI_ZERO)
+        f = f.divmod_by(x)[0]
+    if f.degree() == 0:
         return roots, True
     # clear denominators to Gaussian-integer coefficients
     den = 1
-    for c in work:
+    for c in f.terms.values():
         den = lcm(den, c.real.denominator, c.imag.denominator)
-    cleared = [c * den for c in work]
-    c0 = cleared[0]
-    ck = cleared[-1]
+    c0 = f.constant_term() * den
+    ck = f.leading_term()[1] * den
     candidates = set()
     for p in _gaussian_int_divisors(int(c0.real), int(c0.imag)):
         for q in _gaussian_int_divisors(int(ck.real), int(ck.imag)):
             candidates.add(Qi(p[0], p[1]) / Qi(q[0], q[1]))
     for r in sorted(candidates, key=lambda s: s.sort_key()):
-        while univ_degree(work) >= 1 and univ_eval(work, r).is_zero():
+        while f.degree() >= 1 and f.evaluate([r]).is_zero():
             if r not in roots:
                 roots.append(r)
-            work = _deflate(work, r)
-    return roots, univ_degree(work) == 0
-
-
-def _deflate(f, r):
-    # synthetic division of f by (x - r); remainder is known to vanish
-    out = [QI_ZERO] * (len(f) - 1)
-    carry = QI_ZERO
-    for k in range(len(f) - 1, 0, -1):
-        carry = f[k] + carry * r
-        out[k - 1] = carry
-    return univ_trim(out)
+            f = f.divmod_by(x - r)[0]
+    return roots, f.degree() == 0
 
 
 class SpectrumError(ValueError):

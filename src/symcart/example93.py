@@ -7,7 +7,6 @@ the transcription.
 
 import functools
 import random
-from dataclasses import dataclass
 
 from .exactalg import (
     GaussianRational,
@@ -55,23 +54,6 @@ MC_WITNESSES = [
 QM_SHAPE = "{{x,0,y},{0,z,0},{-y,0,-(x+z)}}"
 
 V_MATRIX = _m([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
-
-
-@dataclass
-class Example93Data:
-    pair: object
-    a_basis: list
-    mC_witnesses: list
-    v: list
-
-
-def example93_data():
-    return Example93Data(
-        pair=catalog_pair("sl3-so21"),
-        a_basis=[[row[:] for row in m] for m in A_BASIS],
-        mC_witnesses=[[row[:] for row in m] for m in MC_WITNESSES],
-        v=[row[:] for row in V_MATRIX],
-    )
 
 
 def _trace(m):

@@ -58,17 +58,20 @@ class WeylGroup:
     """Finite matrix group on a_C, generated by root reflections.
 
     `elements` is the closure of `generators` under multiplication, in
-    `_key` order; a closure past `MAX_WEYL_ELEMENTS` is refused with a
-    ValueError.
+    `_key` order, and `inverses` runs parallel to it: each generator is
+    inverted once, and the closure records (w g)^{-1} = g^{-1} w^{-1}
+    beside each new product. A closure past `MAX_WEYL_ELEMENTS` is
+    refused with a ValueError.
     """
 
     def __init__(self, dim, generators, kappa_on_a):
         ident = mat_identity(dim)
-        closure = {_key(ident): ident}
-        todo = [ident]
+        ginvs = [mat_inverse(g) for g in generators]
+        closure = {_key(ident): (ident, ident)}
+        todo = [(ident, ident)]
         while todo:
-            w = todo.pop()
-            for g in generators:
+            w, winv = todo.pop()
+            for g, ginv in zip(generators, ginvs):
                 p = mat_mul(w, g)
                 k = _key(p)
                 if k not in closure:
@@ -77,11 +80,14 @@ class WeylGroup:
                             "Weyl closure exceeded the safety bound of "
                             f"{MAX_WEYL_ELEMENTS} elements"
                         )
-                    closure[k] = p
-                    todo.append(p)
+                    closure[k] = (p, mat_mul(ginv, winv))
+                    todo.append(closure[k])
+        ordered = [closure[k] for k in sorted(closure)]
         self.dim = dim
         self.generators = generators
-        self.elements = [closure[k] for k in sorted(closure)]
+        self.generator_inverses = ginvs
+        self.elements = [w for w, _ in ordered]
+        self.inverses = [winv for _, winv in ordered]
         self.order = len(self.elements)
         self.kappa_on_a = kappa_on_a
         self._keys = set(closure)

@@ -14,7 +14,6 @@ from .exactalg import (
     GaussianRational,
     MultiPoly,
     mat_det,
-    mat_inverse,
     mat_transpose,
     mat_vec,
     render_vector,
@@ -109,9 +108,8 @@ class NotLiftable:
     remainder: MultiPoly
 
 
-def _push(w, X):
+def _push(w, winv, X):
     # the field w . X(w^{-1} x)
-    winv = mat_inverse(w)
     return PolyVectorField(
         mat_vec(w, [c.compose_linear(winv) for c in X.components])
     )
@@ -123,15 +121,18 @@ def is_invariant_field(X, weyl):
     Pushing forward is a group action, so the generators suffice, as in
     `invariants.is_invariant`.
     """
-    return all(_push(g, X) == X for g in weyl.generators)
+    return all(
+        _push(g, ginv, X) == X
+        for g, ginv in zip(weyl.generators, weyl.generator_inverses)
+    )
 
 
 def reynolds_field(weyl, X):
     """Group average of the pushed-forward field, the exact projector
     onto invariant fields."""
     acc = PolyVectorField.zero(X.dim)
-    for w in weyl.elements:
-        acc = acc + _push(w, X)
+    for w, winv in zip(weyl.elements, weyl.inverses):
+        acc = acc + _push(w, winv, X)
     return acc * Qi(Fraction(1, weyl.order))
 
 

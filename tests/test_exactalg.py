@@ -305,13 +305,18 @@ def test_linear_span_incremental():
     assert not span.contains([Qi(0), Qi(0), Qi(1)])
 
 
-# ---------------------------------------------------------------- univariate
+# ---------------------------------------------------------------- spectra
+
+def _t(*coeffs):
+    """The one-variable polynomial with ascending coefficients."""
+    return MultiPoly(1, {(k,): c for k, c in enumerate(coeffs)})
+
 
 def test_min_poly_rotation_matrix():
     # ad-style rotation generator: squares to -identity
     A = [[Qi(0), Qi(-1)], [Qi(1), Qi(0)]]
     m = matrix_min_poly(A)
-    assert m == [Qi(1), Qi(0), Qi(1)]  # t^2 + 1
+    assert m == _t(Qi(1), Qi(0), Qi(1))  # t^2 + 1
     roots, split = gaussian_rational_roots(m)
     assert split and set(roots) == {Qi(0, 1), Qi(0, -1)}
 
@@ -319,7 +324,7 @@ def test_min_poly_rotation_matrix():
 def test_min_poly_nilpotent_not_squarefree():
     A = [[Qi(0), Qi(1)], [Qi(0), Qi(0)]]
     m = matrix_min_poly(A)
-    assert m == [Qi(0), Qi(0), Qi(1)]  # t^2
+    assert m == _t(Qi(0), Qi(0), Qi(1))  # t^2
     # its one eigenspace is a line, short of the plane
     assert joint_eigenspaces([A]) == (None, 0)
     identity = [[Qi(1), Qi(0)], [Qi(0), Qi(1)]]
@@ -328,14 +333,14 @@ def test_min_poly_nilpotent_not_squarefree():
 
 def test_roots_outside_field_detected():
     # t^2 - 2 has no root in the Gaussian rationals
-    f = [Qi(-2), Qi(0), Qi(1)]
+    f = _t(Qi(-2), Qi(0), Qi(1))
     roots, split = gaussian_rational_roots(f)
     assert not split and roots == []
 
 
 def test_roots_with_denominators():
     # (2t - 1)(t + 3i) = 2t^2 + (6i - 1)t - 3i
-    f = [Qi(0, -3), Qi(-1, 6), Qi(2)]
+    f = _t(Qi(0, -3), Qi(-1, 6), Qi(2))
     roots, split = gaussian_rational_roots(f)
     assert split
     assert set(roots) == {Qi(Fraction(1, 2)), Qi(0, -3)}

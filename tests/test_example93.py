@@ -1,11 +1,11 @@
 from fractions import Fraction
 
+from symcart import example93
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import mat_det, mat_identity, mat_inverse, mat_mul
 from symcart.example93 import (
     control_flipped_involution,
     control_offaxis_v,
-    example93_data,
     verify_example93,
 )
 
@@ -40,11 +40,9 @@ def _transpose(m):
 
 
 def test_data_matches_printed_matrices():
-    data = example93_data()
-    assert data.pair.name == "sl3-so21"
-    assert data.a_basis == EXPECTED_A
-    assert data.mC_witnesses == EXPECTED_WITNESSES
-    assert data.v == EXPECTED_V
+    assert example93.A_BASIS == EXPECTED_A
+    assert example93.MC_WITNESSES == EXPECTED_WITNESSES
+    assert example93.V_MATRIX == EXPECTED_V
 
 
 def test_witness_properties_recomputed():

@@ -10,7 +10,7 @@ import sympy
 from _oracles import SL3_ROOT_SET, matrix_key, same_span, sl3_weyl_matrices_by_weight_permutations
 from symcart import exactalg, liesym, rootsys
 from symcart.exactalg import GaussianRational as Qi
-from symcart.exactalg import mat_vec
+from symcart.exactalg import MultiPoly, mat_identity, mat_mul, mat_vec
 from symcart.invariants import build_chart
 from symcart.liesym import catalog, catalog_pair, centralizer_in_q, load_pair
 from symcart.rootsys import (
@@ -20,6 +20,9 @@ from symcart.rootsys import (
     restricted_roots,
     weyl_group,
 )
+from symcart.vecfields import PolyVectorField, is_invariant_field, reynolds_field
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _roots_of(name):
@@ -217,11 +220,11 @@ def test_sl4_so4_fixture_chart():
     assert chart.gram_constant == Qi(1)
 
 
-def _count_min_polys(monkeypatch):
-    """Sizes of the matrices passed to matrix_min_poly through any module
-    of the package that binds it."""
+def _count_calls(monkeypatch, fname):
+    """Sizes of the matrices passed to `exactalg.<fname>` through any
+    module of the package that binds it."""
     calls = []
-    original = exactalg.matrix_min_poly
+    original = getattr(exactalg, fname)
 
     def counted(A):
         calls.append(len(A))
@@ -229,16 +232,16 @@ def _count_min_polys(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "symcart" and (
-            getattr(module, "matrix_min_poly", None) is original
+            getattr(module, fname, None) is original
         ):
-            monkeypatch.setattr(module, "matrix_min_poly", counted)
+            monkeypatch.setattr(module, fname, counted)
     return calls
 
 
 def test_one_min_poly_per_cartan_vector(monkeypatch):
     # construction leaves the spectrum to the root split, which takes one
     # minimal polynomial per Cartan basis vector
-    calls = _count_min_polys(monkeypatch)
+    calls = _count_calls(monkeypatch, "matrix_min_poly")
     pair = liesym._build_sl3_so21()
     assert calls == []
     build_chart(pair)
@@ -246,6 +249,50 @@ def test_one_min_poly_per_cartan_vector(monkeypatch):
     calls.clear()
     path = Path(__file__).parent / "fixtures" / "sl4-so4.json"
     load_pair(json.loads(path.read_text()))
+    assert calls == []
+
+
+def _weyl_of(pair):
+    return weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
+
+
+def test_weyl_groups_keep_their_inverses():
+    path = ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json"
+    cubed = load_pair(json.loads(path.read_text()))
+    groups = {pair.name: _weyl_of(pair) for pair in catalog()}
+    groups["sl2-so2-cubed"] = _weyl_of(cubed)
+    groups["sl4-so4"] = _weyl_of(_sl4_so4())
+    sl3 = catalog_pair("sl3-so21")
+    _, groups["sl3-so21 at [1, 0]"], _ = local_subsystem(
+        restricted_roots(sl3), groups["sl3-so21"], [Qi(1), Qi(0)]
+    )
+    assert {name: W.order for name, W in groups.items()} == {
+        "sl2-so2": 2,
+        "sl3-so21": 6,
+        "abelian2": 1,
+        "sl2-diagonal": 2,
+        "sl2-so2-cubed": 8,
+        "sl4-so4": 24,
+        "sl3-so21 at [1, 0]": 2,
+    }
+    for name, W in groups.items():
+        ident = mat_identity(W.dim)
+        assert len(W.inverses) == W.order, name
+        for w, winv in zip(W.elements, W.inverses):
+            assert mat_mul(w, winv) == ident, name
+        assert len(W.generator_inverses) == len(W.generators), name
+        for g, ginv in zip(W.generators, W.generator_inverses):
+            assert mat_mul(g, ginv) == ident, name
+
+
+def test_field_averages_invert_nothing(monkeypatch):
+    # the pushes read the inverses the group keeps
+    weyl = _weyl_of(catalog_pair("sl3-so21"))
+    calls = _count_calls(monkeypatch, "mat_inverse")
+    x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    Y = reynolds_field(weyl, PolyVectorField([x1, x0 * x0]))
+    assert calls == []
+    assert is_invariant_field(Y, weyl)
     assert calls == []
 
 
