@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import add
 
 
 class CertificationError(RuntimeError):
@@ -31,27 +32,48 @@ class CertificationError(RuntimeError):
 
 
 class GaussianRational:
-    """Element a + bi of Q(i), with exact Fraction parts."""
+    """Element (a + b i)/d of Q(i), kept as three ints with d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal triples. Each operation
+    takes one `math.gcd`; `real` and `imag` are the parts as Fractions.
+    """
 
-    __slots__ = ("real", "imag")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, real=0, imag=0):
-        self.real = Fraction(real)
-        self.imag = Fraction(imag)
+        re, im = Fraction(real), Fraction(imag)
+        d = lcm(re.denominator, im.denominator)
+        # the part whose denominator holds the top power of a prime p is
+        # prime to p, so the triple is already in lowest terms
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+        if isinstance(other, int):
+            return _qi(other, 0, 1)
+        if isinstance(other, Fraction):
+            return _qi(other.numerator, 0, other.denominator)
         return None
+
+    @property
+    def real(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def imag(self):
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.real + o.real, self.imag + o.imag)
+        d, e = self._d, o._d
+        if d == e:
+            return _qi(self._a + o._a, self._b + o._b, d)
+        return _qi(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
@@ -59,7 +81,10 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.real - o.real, self.imag - o.imag)
+        d, e = self._d, o._d
+        if d == e:
+            return _qi(self._a - o._a, self._b - o._b, d)
+        return _qi(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -71,10 +96,8 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.real * o.real - self.imag * o.imag,
-            self.real * o.imag + self.imag * o.real,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _qi(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -82,13 +105,13 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = o.real * o.real + o.imag * o.imag
+        a, b, c, e = self._a, self._b, o._a, o._b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.real * o.real + self.imag * o.imag) / n,
-            (self.imag * o.real - self.real * o.imag) / n,
-        )
+        # (a + b i)/d divided by (c + e i)/f is (a + b i)(c - e i) f / (d n)
+        f = o._d
+        return _qi((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -97,12 +120,12 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.real, -self.imag)
+        return _qi(-self._a, -self._b, self._d)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        out = GaussianRational(1)
+        out = QI_ONE
         base = self
         while k:
             if k & 1:
@@ -115,22 +138,33 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.real == o.real and self.imag == o.imag
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.real, self.imag))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.real != 0 or self.imag != 0
+        return self._a != 0 or self._b != 0
 
     def is_zero(self):
-        return self.real == 0 and self.imag == 0
+        return self._a == 0 and self._b == 0
 
     def sort_key(self):
         return (self.real, self.imag)
 
     def __repr__(self):
         return f"Qi({self.real!s}, {self.imag!s})"
+
+
+def _qi(a, b, d):
+    """(a + b i)/d for ints with d > 0, brought to the canonical triple."""
+    g = gcd(a, b, d)
+    x = object.__new__(GaussianRational)
+    if g == 1:
+        x._a, x._b, x._d = a, b, d
+    else:
+        x._a, x._b, x._d = a // g, b // g, d // g
+    return x
 
 
 Qi = GaussianRational
@@ -197,12 +231,18 @@ def _grevlex_key(e):
 
 
 class MultiPoly:
-    """Dense-in-support polynomial: exponent tuple -> nonzero Q(i) coefficient."""
+    """Dense-in-support polynomial: exponent tuple -> nonzero Q(i) coefficient.
 
-    __slots__ = ("num_vars", "terms")
+    A value is never changed after construction: products and linear
+    combinations keep its coefficients over their common denominator
+    (`_integer_terms`) on first use.
+    """
+
+    __slots__ = ("num_vars", "terms", "_ints")
 
     def __init__(self, num_vars, terms=None):
         self.num_vars = num_vars
+        self._ints = None
         clean = {}
         for e, c in (terms or {}).items():
             e = tuple(int(x) for x in e)
@@ -292,7 +332,7 @@ class MultiPoly:
         t = dict(self.terms)
         for e, c in other.terms.items():
             t[e] = t.get(e, QI_ZERO) + c
-        return MultiPoly(self.num_vars, t)
+        return _poly(self.num_vars, t)
 
     __radd__ = __add__
 
@@ -300,21 +340,29 @@ class MultiPoly:
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational._coerce(other)
-            return MultiPoly(self.num_vars, {e: v * c for e, v in self.terms.items()})
+            return _poly(self.num_vars, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, QI_ZERO) + c1 * c2
-        return MultiPoly(self.num_vars, t)
+        # (a + b i)/d1 * (c + e i)/d2 summed on the numerators, over d1 d2
+        d1, t1 = _integer_terms(self)
+        d2, t2 = _integer_terms(other)
+        acc = {}
+        for e1, a, b in t1:
+            for e2, c, e in t2:
+                x = tuple(map(add, e1, e2))
+                s = acc.get(x)
+                if s is None:
+                    acc[x] = [a * c - b * e, a * e + b * c]
+                else:
+                    s[0] += a * c - b * e
+                    s[1] += a * e + b * c
+        return _poly_over(self.num_vars, acc, d1 * d2)
 
     def __rmul__(self, other):
         return self * other
@@ -346,19 +394,25 @@ class MultiPoly:
             e2 = list(e)
             e2[i] -= 1
             t[tuple(e2)] = c * e[i]
-        return MultiPoly(self.num_vars, t)
+        return _poly(self.num_vars, t)
 
     def evaluate(self, point):
         if len(point) != self.num_vars:
             raise ValueError("point dimension mismatch")
-        point = [GaussianRational._coerce(p) for p in point]
+        # powers[i][k] is point[i]^k, built once per call
+        powers = []
+        for i, p in enumerate(point):
+            p = GaussianRational._coerce(p)
+            pw = [QI_ONE]
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                pw.append(pw[-1] * p)
+            powers.append(pw)
         acc = QI_ZERO
         for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
+            for pw, k in zip(powers, e):
                 if k:
-                    v = v * point[i] ** k
-            acc = acc + v
+                    c = c * pw[k]
+            acc = acc + c
         return acc
 
     def compose(self, subs):
@@ -366,19 +420,20 @@ class MultiPoly:
         if len(subs) != self.num_vars:
             raise ValueError("need one substitution per variable")
         n = subs[0].num_vars
+        one = MultiPoly.one(n)
         # powers[i][k] is subs[i]^k, extended on demand
-        powers = [[MultiPoly.one(n)] for _ in subs]
-        acc = MultiPoly.zero(n)
+        powers = [[one] for _ in subs]
+        pairs = []
         for e, c in self.terms.items():
-            term = MultiPoly.constant(n, c)
+            term = one
             for i, k in enumerate(e):
                 if k:
                     cache = powers[i]
                     while len(cache) <= k:
                         cache.append(cache[-1] * subs[i])
-                    term = term * cache[k]
-            acc = acc + term
-        return acc
+                    term = cache[k] if term is one else term * cache[k]
+            pairs.append((c, term))
+        return linear_combination(n, pairs)
 
     def compose_linear(self, M):
         """f(Mx): substitute row i of M (as a linear form) for variable i."""
@@ -423,7 +478,7 @@ class MultiPoly:
                         work[tgt] = nc
             else:
                 r[e] = c
-        return MultiPoly(n, q), MultiPoly(n, r)
+        return _poly(n, q), _poly(n, r)
 
     # -- rendering
 
@@ -448,6 +503,53 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.num_vars}, {self.render()})"
+
+
+def _poly(num_vars, terms):
+    """MultiPoly on exponent tuples and Q(i) coefficients that need no
+    validation; only the zero coefficients are dropped."""
+    p = object.__new__(MultiPoly)
+    p.num_vars = num_vars
+    p.terms = {e: c for e, c in terms.items() if c}
+    p._ints = None
+    return p
+
+
+def _integer_terms(p):
+    """(D, [(e, a, b)]): the coefficients of p as (a + b i)/D over their
+    least common denominator D, computed once per polynomial."""
+    if p._ints is None:
+        D = lcm(*[c._d for c in p.terms.values()])
+        out = []
+        for e, c in p.terms.items():
+            s = D // c._d
+            out.append((e, c._a * s, c._b * s))
+        p._ints = (D, out)
+    return p._ints
+
+
+def _poly_over(num_vars, acc, D):
+    """MultiPoly with coefficient (re + im i)/D at e, from {e: [re, im]}."""
+    return _poly(num_vars, {e: _qi(re, im, D) for e, (re, im) in acc.items()})
+
+
+def linear_combination(num_vars, pairs):
+    """sum c * p over (Q(i) scalar c, MultiPoly p) pairs, added up on the
+    integer numerators over one common denominator."""
+    forms = [(c, _integer_terms(p)) for c, p in pairs]
+    D = lcm(*[c._d * d for c, (d, _) in forms])
+    acc = {}
+    for c, (d, rows) in forms:
+        s = D // (c._d * d)
+        a, b = c._a * s, c._b * s
+        for e, x, y in rows:
+            t = acc.get(e)
+            if t is None:
+                acc[e] = [a * x - b * y, a * y + b * x]
+            else:
+                t[0] += a * x - b * y
+                t[1] += a * y + b * x
+    return _poly_over(num_vars, acc, D)
 
 
 def _parse_poly(text: str, num_vars: int) -> MultiPoly:

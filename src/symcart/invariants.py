@@ -17,6 +17,7 @@ from .exactalg import (
     MultiPoly,
     _grevlex_key,
     det_adjugate,
+    linear_combination,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -34,10 +35,10 @@ Qi = GaussianRational
 
 def reynolds(weyl, f):
     """Group average of f, the exact projector onto invariants."""
-    acc = MultiPoly.zero(f.num_vars)
-    for w in weyl.elements:
-        acc = acc + f.compose_linear(w)
-    return acc * Qi(Fraction(1, weyl.order))
+    scale = Qi(Fraction(1, weyl.order))
+    return linear_combination(
+        f.num_vars, [(scale, weyl.act(i, f)) for i in range(weyl.order)]
+    )
 
 
 def is_invariant(f, weyl):
@@ -48,7 +49,7 @@ def is_invariant(f, weyl):
     `elements` equal to the closure of `generators`: its constructor
     builds them by multiplying out the generators.
     """
-    return all(f.compose_linear(g) == f for g in weyl.generators)
+    return all(weyl.act(i, f) == f for i in weyl.generator_index)
 
 
 def _weighted_exponents(degrees, total):

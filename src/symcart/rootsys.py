@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 from .exactalg import (
     CertificationError,
     LinearSpan,
+    MultiPoly,
+    QI_ONE,
     Qi,
     SpectrumError,  # callers catch it from here
     joint_eigenspaces,
     kernel_basis,
+    linear_combination,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -58,15 +61,21 @@ class WeylGroup:
     """Finite matrix group on a_C, generated by root reflections.
 
     `elements` is the closure of `generators` under multiplication, in
-    `_key` order, and `inverses` runs parallel to it: each generator is
-    inverted once, and the closure records (w g)^{-1} = g^{-1} w^{-1}
-    beside each new product. A closure past `MAX_WEYL_ELEMENTS` is
-    refused with a ValueError.
+    `_key` order, and `inverses` runs parallel to it: a generator g with
+    g g = I is its own inverse (every caller passes reflections) and any
+    other is inverted once, and the closure records
+    (w g)^{-1} = g^{-1} w^{-1} beside each new product. `inverse_index`
+    and `generator_index` locate w^{-1} and each generator in `elements`.
+    A closure past `MAX_WEYL_ELEMENTS` is refused with a ValueError.
+
+    `act(i, f)` is f(w x) for w = elements[i]. The group keeps, per
+    element, the image of every monomial it has been asked for: the
+    sparse columns of Sym^d(w), each computed once by `compose_linear`.
     """
 
     def __init__(self, dim, generators, kappa_on_a):
         ident = mat_identity(dim)
-        ginvs = [mat_inverse(g) for g in generators]
+        ginvs = [g if mat_mul(g, g) == ident else mat_inverse(g) for g in generators]
         closure = {_key(ident): (ident, ident)}
         todo = [(ident, ident)]
         while todo:
@@ -82,15 +91,32 @@ class WeylGroup:
                         )
                     closure[k] = (p, mat_mul(ginv, winv))
                     todo.append(closure[k])
-        ordered = [closure[k] for k in sorted(closure)]
+        keys = sorted(closure)
+        index = {k: i for i, k in enumerate(keys)}
         self.dim = dim
         self.generators = generators
         self.generator_inverses = ginvs
-        self.elements = [w for w, _ in ordered]
-        self.inverses = [winv for _, winv in ordered]
+        self.elements = [closure[k][0] for k in keys]
+        self.inverses = [closure[k][1] for k in keys]
+        self.inverse_index = [index[_key(winv)] for winv in self.inverses]
+        self.generator_index = [index[_key(g)] for g in generators]
         self.order = len(self.elements)
         self.kappa_on_a = kappa_on_a
         self._keys = set(closure)
+        self._images = [{} for _ in keys]
+
+    def act(self, i, f):
+        """f(w x) for the element w = elements[i], summed over the terms
+        c x^e of f from the kept images of the monomials x^e under w."""
+        images = self._images[i]
+        pairs = []
+        for e, c in f.terms.items():
+            img = images.get(e)
+            if img is None:
+                mono = MultiPoly(f.num_vars, {e: QI_ONE})
+                img = images[e] = mono.compose_linear(self.elements[i])
+            pairs.append((c, img))
+        return linear_combination(f.num_vars, pairs)
 
     def contains(self, m):
         return _key(m) in self._keys

@@ -13,6 +13,7 @@ from .exactalg import (
     CertificationError,
     GaussianRational,
     MultiPoly,
+    linear_combination,
     mat_det,
     mat_transpose,
     mat_vec,
@@ -108,11 +109,11 @@ class NotLiftable:
     remainder: MultiPoly
 
 
-def _push(w, winv, X):
-    # the field w . X(w^{-1} x)
-    return PolyVectorField(
-        mat_vec(w, [c.compose_linear(winv) for c in X.components])
-    )
+def _push(weyl, i, X):
+    # the components of w . X(w^{-1} x) for w = weyl.elements[i]
+    j = weyl.inverse_index[i]
+    moved = [weyl.act(j, c) for c in X.components]
+    return [linear_combination(X.dim, zip(row, moved)) for row in weyl.elements[i]]
 
 
 def is_invariant_field(X, weyl):
@@ -121,19 +122,20 @@ def is_invariant_field(X, weyl):
     Pushing forward is a group action, so the generators suffice, as in
     `invariants.is_invariant`.
     """
-    return all(
-        _push(g, ginv, X) == X
-        for g, ginv in zip(weyl.generators, weyl.generator_inverses)
-    )
+    return all(_push(weyl, i, X) == X.components for i in weyl.generator_index)
 
 
 def reynolds_field(weyl, X):
     """Group average of the pushed-forward field, the exact projector
     onto invariant fields."""
-    acc = PolyVectorField.zero(X.dim)
-    for w, winv in zip(weyl.elements, weyl.inverses):
-        acc = acc + _push(w, winv, X)
-    return acc * Qi(Fraction(1, weyl.order))
+    pushed = [_push(weyl, i, X) for i in range(weyl.order)]
+    scale = Qi(Fraction(1, weyl.order))
+    return PolyVectorField(
+        [
+            linear_combination(X.dim, [(scale, p[k]) for p in pushed])
+            for k in range(X.dim)
+        ]
+    )
 
 
 def _cramer(chart, images):

@@ -2,11 +2,14 @@
 
 Everything here is computed independently of the implementation under test,
 from first principles or from printed constants, so that agreement is
-evidence rather than tautology.
+evidence rather than tautology. `count_calls` is the one helper that
+observes the implementation instead.
 """
 
+import sys
 from fractions import Fraction
 
+from symcart import exactalg
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, MultiPoly, solve_exact
 
@@ -146,3 +149,30 @@ def det_cofactor(M):
         term = M[0][j] * det_cofactor(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def count_calls(monkeypatch, name):
+    """Sizes of the matrices passed to `exactalg.<name>`, one per call.
+
+    A function is wrapped wherever a module of the package binds it; a
+    dotted name such as `MultiPoly.compose_linear` wraps the method on
+    its class, and the size is that of its matrix argument.
+    """
+    owner_name, _, attr = name.rpartition(".")
+    owner = getattr(exactalg, owner_name) if owner_name else exactalg
+    original = getattr(owner, attr)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return original(*args)
+
+    if owner_name:
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "symcart" and (
+            getattr(module, attr, None) is original
+        ):
+            monkeypatch.setattr(module, attr, counted)
+    return calls

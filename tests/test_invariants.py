@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from _oracles import rand_poly, weighted_partition_count
+from _oracles import count_calls, rand_poly, weighted_partition_count
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, MultiPoly, mat_vec
 from symcart.invariants import (
@@ -15,8 +17,11 @@ from symcart.invariants import (
     phi_from_roots,
     reynolds,
 )
-from symcart.liesym import catalog, catalog_pair
+from symcart.liesym import catalog, catalog_pair, load_pair
 from symcart.rootsys import restricted_roots, weyl_group
+from symcart.vecfields import PolyVectorField, reynolds_field
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _setup(name):
@@ -292,3 +297,51 @@ def test_local_gram_identity_at_slice_points():
         for pt, c in cases:
             loc = local_chart(chart, [Qi(v) for v in pt])
             assert loc.gram_constant == Qi(c), (name, pt)
+
+
+def _fixture_weyl(path):
+    pair = load_pair(json.loads(path.read_text()))
+    return weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", "sl2-so2-cubed", "sl4-so4"],
+)
+def test_cached_action_matches_plain_composition(name, monkeypatch):
+    # f(w x) read from the group's kept monomial images equals f composed
+    # with the linear forms of w's rows, whether the images are new or kept
+    if name == "sl2-so2-cubed":
+        weyl = _fixture_weyl(ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json")
+    elif name == "sl4-so4":
+        weyl = _fixture_weyl(ROOT / "tests" / "fixtures" / "sl4-so4.json")
+    else:
+        weyl = _setup(name)[2]
+    rng = random.Random(name)
+    polys = [rand_poly(rng, weyl.dim, d) for d in range(6)]
+    expected = [
+        [f.compose([MultiPoly.linear_form(row) for row in w]) for f in polys]
+        for w in weyl.elements
+    ]
+    calls = count_calls(monkeypatch, "MultiPoly.compose_linear")
+    for warm in (False, True):
+        for i, images in enumerate(expected):
+            for f, fw in zip(polys, images):
+                assert weyl.act(i, f) == fw, (name, warm, i, f)
+        if warm:
+            assert calls == []
+        else:
+            assert 0 < len(calls) <= weyl.order * sum(len(f.terms) for f in polys)
+            calls.clear()
+
+
+def test_field_average_composes_less_on_a_warm_group(monkeypatch):
+    _, _, weyl = _setup("sl3-so21")
+    rng = random.Random(5)
+    X = PolyVectorField([rand_poly(rng, 2, 4) for _ in range(2)])
+    calls = count_calls(monkeypatch, "MultiPoly.compose_linear")
+    Y = reynolds_field(weyl, X)
+    cold = len(calls)
+    calls.clear()
+    assert reynolds_field(weyl, X) == Y
+    assert cold > len(calls) == 0

@@ -1,19 +1,86 @@
-"""Property tests for `MultiPoly` over Q(i): rendering round-trips
-through the parser, single-divisor division reassembles its input, and
-the Q(i) root search finds exactly the rational roots of polynomials
-built from them."""
+"""Property tests for Q(i) scalars and `MultiPoly` over them: scalars
+round-trip through their rendering, obey the field axioms against a
+Fraction-pair oracle and keep one canonical integer triple per value;
+polynomial rendering round-trips through the parser, single-divisor
+division reassembles its input, and the Q(i) root search finds exactly
+the rational roots of polynomials built from them."""
+
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcart.exactalg import GaussianRational as Qi
-from symcart.exactalg import MultiPoly, gaussian_rational_roots
+from symcart.exactalg import (
+    MultiPoly,
+    gaussian_rational_roots,
+    parse_scalar,
+    render_scalar,
+)
 
 _parts = st.one_of(
     st.just(0),
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
 )
 _scalars = st.builds(Qi, _parts, _parts)
+
+
+_wide_parts = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_wide = st.builds(Qi, _wide_parts, _wide_parts)
+
+
+def _pair(x):
+    return (x.real, x.imag)
+
+
+# the Fraction-pair oracle: (a, b) stands for a + b i
+def _oracle_add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _oracle_mul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _oracle_div(p, q):
+    n = q[0] * q[0] + q[1] * q[1]
+    return _oracle_mul(p, (q[0] / n, -q[1] / n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide)
+def test_scalar_parse_inverts_render(x):
+    assert parse_scalar(render_scalar(x)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide, _wide, _wide)
+def test_scalar_field_axioms_against_fraction_pairs(x, y, z):
+    zero, one = Qi(0), Qi(1)
+    assert _pair(x + y) == _oracle_add(_pair(x), _pair(y))
+    assert _pair(x - y) == _oracle_add(_pair(x), _pair(-y))
+    assert _pair(x * y) == _oracle_mul(_pair(x), _pair(y))
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x + (-x) == zero
+    assert x * zero == zero and x ** 3 == x * x * x
+    if y:
+        assert _pair(x / y) == _oracle_div(_pair(x), _pair(y))
+        assert (x / y) * y == x
+        assert y * (one / y) == one
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide, _wide, st.integers(1, 40))
+def test_scalar_canonical_triple(x, y, k):
+    for v in (x, y, x + y, x * y, x - x):
+        assert v._d > 0 and gcd(v._a, v._b, v._d) == 1
+    # the same value reached another way has the same triple and hash
+    same = (x * k + y - y) / k
+    assert (same._a, same._b, same._d) == (x._a, x._b, x._d)
+    assert same == x and hash(same) == hash(x)
+    assert Qi(x.real, x.imag) == x and hash(Qi(x.real, x.imag)) == hash(x)
 
 
 @st.composite

@@ -1,14 +1,19 @@
 import functools
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
 
-from _oracles import SL3_ROOT_SET, matrix_key, same_span, sl3_weyl_matrices_by_weight_permutations
-from symcart import exactalg, liesym, rootsys
+from _oracles import (
+    SL3_ROOT_SET,
+    count_calls,
+    matrix_key,
+    same_span,
+    sl3_weyl_matrices_by_weight_permutations,
+)
+from symcart import liesym, rootsys
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import MultiPoly, mat_identity, mat_mul, mat_vec
 from symcart.invariants import build_chart
@@ -220,28 +225,10 @@ def test_sl4_so4_fixture_chart():
     assert chart.gram_constant == Qi(1)
 
 
-def _count_calls(monkeypatch, fname):
-    """Sizes of the matrices passed to `exactalg.<fname>` through any
-    module of the package that binds it."""
-    calls = []
-    original = getattr(exactalg, fname)
-
-    def counted(A):
-        calls.append(len(A))
-        return original(A)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "symcart" and (
-            getattr(module, fname, None) is original
-        ):
-            monkeypatch.setattr(module, fname, counted)
-    return calls
-
-
 def test_one_min_poly_per_cartan_vector(monkeypatch):
     # construction leaves the spectrum to the root split, which takes one
     # minimal polynomial per Cartan basis vector
-    calls = _count_calls(monkeypatch, "matrix_min_poly")
+    calls = count_calls(monkeypatch, "matrix_min_poly")
     pair = liesym._build_sl3_so21()
     assert calls == []
     build_chart(pair)
@@ -283,12 +270,29 @@ def test_weyl_groups_keep_their_inverses():
         assert len(W.generator_inverses) == len(W.generators), name
         for g, ginv in zip(W.generators, W.generator_inverses):
             assert mat_mul(g, ginv) == ident, name
+        assert [W.elements[j] for j in W.inverse_index] == W.inverses, name
+        assert [W.elements[j] for j in W.generator_index] == W.generators, name
+
+
+def test_only_generators_that_are_not_involutions_are_inverted(monkeypatch):
+    pair = catalog_pair("sl3-so21")
+    system = restricted_roots(pair)
+    calls = count_calls(monkeypatch, "mat_inverse")
+    W = weyl_group(system, pair.kappa_on_cartan())
+    # the form only: each reflection is its own inverse
+    assert calls == [2]
+    assert all(ginv is g for g, ginv in zip(W.generators, W.generator_inverses))
+    calls.clear()
+    C4 = rootsys.WeylGroup(1, [[[Qi(0, 1)]]], [[Qi(1)]])
+    assert calls == [1]
+    assert C4.order == 4
+    assert C4.generator_inverses == [[[Qi(0, -1)]]]
 
 
 def test_field_averages_invert_nothing(monkeypatch):
     # the pushes read the inverses the group keeps
     weyl = _weyl_of(catalog_pair("sl3-so21"))
-    calls = _count_calls(monkeypatch, "mat_inverse")
+    calls = count_calls(monkeypatch, "mat_inverse")
     x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     Y = reynolds_field(weyl, PolyVectorField([x1, x0 * x0]))
     assert calls == []
