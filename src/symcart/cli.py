@@ -5,7 +5,8 @@ report carrying the echoed inputs, the structured results, and a list
 of named checks. A failing check always comes with a machine-readable
 witness. Exit codes: 0 when every requested check passed, 2 when one
 failed, 3 for bad input, 4 when the pair's a-spectrum leaves the
-Gaussian rationals.
+Gaussian rationals, 5 when stdout was closed before the report was
+written (a one-line message goes to stderr instead of a traceback).
 
 Identities of the library's own results are certified where they are
 computed, and a failure raises `CertificationError`; the report then
@@ -20,6 +21,7 @@ forms and dictionaries are built in a fixed order.
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -62,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK = 2
 EXIT_INPUT = 3
 EXIT_SPECTRUM = 4
+EXIT_CLOSED_STDOUT = 5
 
 # highest total degree accepted in a --field or --derivation polynomial.
 # The sampled batteries use degree 8 at most; on sl3-so21 a Solomon
@@ -131,11 +134,25 @@ def _report(command, inputs, results, checks):
     return doc, failed
 
 
-def _emit(payload, pretty):
+def _emit(payload, pretty, code):
+    """Print the document and return the exit code, or
+    EXIT_CLOSED_STDOUT when the reader has closed stdout."""
     if pretty:
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2)
     else:
-        print(json.dumps(payload, separators=(",", ":")))
+        text = json.dumps(payload, separators=(",", ":"))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at interpreter exit
+        # has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("symcart: stdout was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 # ------------------------------------------------------------------- inputs
@@ -244,7 +261,7 @@ def _slice(chart, point):
 
 def _jet_checks(chart, rng, samples, action_samples):
     n = chart.weyl.dim
-    K = chart.kappa_on_a
+    K, Kinv = chart.kappa_on_a, chart.weyl.kappa_inverse
     base = _regular_point(chart, _slice_points(chart, ""))
     N = default_truncation(chart)
     checks = []
@@ -283,8 +300,8 @@ def _jet_checks(chart, rng, samples, action_samples):
         if not hom:
             hom = {(d,) + (0,) * (n - 1): Qi(1)}
         R = MultiPoly(n, hom).shift([-x for x in base])
-        out = jet_gradient_action(R, jet_of(f, base, N), K)
-        direct = gradient(R, K).apply_to(f)
+        out = jet_gradient_action(R, jet_of(f, base, N), K, Kinv)
+        direct = gradient(R, K, Kinv).apply_to(f)
         if out != jet_of(direct, base, out.truncation_order):
             act_ok, act_wit = False, {"sample": k, "f": f.render(), "R": R.render()}
             break
@@ -639,16 +656,14 @@ def main(argv=None):
         inputs = {"pair": args.pair, "pair_file": args.pair_file, "seed": args.seed}
         report, failed = _HANDLERS[args.command](args, inputs)
     except InputError as e:
-        _emit({"error": {"code": "input", "message": str(e)}}, pretty)
-        return EXIT_INPUT
+        return _emit({"error": {"code": "input", "message": str(e)}}, pretty, EXIT_INPUT)
     except SpectrumError as e:
-        _emit({"error": {"code": "unsupported-spectrum", "message": str(e)}}, pretty)
-        return EXIT_SPECTRUM
+        error = {"code": "unsupported-spectrum", "message": str(e)}
+        return _emit({"error": error}, pretty, EXIT_SPECTRUM)
     except CertificationError as e:
         failing = [(e.name, False, e.witness)]
         report, failed = _report(args.command, inputs, None, failing)
-    _emit(report, args.pretty)
-    return EXIT_CHECK if failed else EXIT_OK
+    return _emit(report, args.pretty, EXIT_CHECK if failed else EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,23 @@ reverse lexicographic, fixed once here; no floating point anywhere.
 MultiPoly entries; `mat_det` is the one determinant for both, by
 fraction-free elimination whose exact divisions are checked, and
 `det_adjugate` takes its minors from it.
+
+Every sum of polynomial products goes through one kernel,
+`linear_combination`: it adds up the products on Gaussian-integer
+numerators over one common denominator and normalises once. Its callers
+are `MultiPoly.__mul__` and `compose`, the polynomial `mat_mul`,
+`mat_vec` and Bareiss update in `mat_det`, `WeylGroup.act`,
+`invariants.reynolds`, and in `vecfields` the field action `apply_to`,
+the pushed and averaged fields, `jet_mul`, `jet_invert` and
+`Jet.polynomial`. `MultiPoly.shift` expands (x + a)^k binomially on the
+same integer numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import add
 
 
@@ -303,7 +313,7 @@ class MultiPoly:
         parts = {}
         for e, c in self.terms.items():
             parts.setdefault(sum(e), {})[e] = c
-        return {d: MultiPoly(self.num_vars, t) for d, t in sorted(parts.items())}
+        return {d: _poly(self.num_vars, t) for d, t in sorted(parts.items())}
 
     def leading_term(self):
         if not self.terms:
@@ -349,20 +359,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        # (a + b i)/d1 * (c + e i)/d2 summed on the numerators, over d1 d2
-        d1, t1 = _integer_terms(self)
-        d2, t2 = _integer_terms(other)
-        acc = {}
-        for e1, a, b in t1:
-            for e2, c, e in t2:
-                x = tuple(map(add, e1, e2))
-                s = acc.get(x)
-                if s is None:
-                    acc[x] = [a * c - b * e, a * e + b * c]
-                else:
-                    s[0] += a * c - b * e
-                    s[1] += a * e + b * c
-        return _poly_over(self.num_vars, acc, d1 * d2)
+        return linear_combination(self.num_vars, ((self, other),))
 
     def __rmul__(self, other):
         return self * other
@@ -440,13 +437,48 @@ class MultiPoly:
         return self.compose([MultiPoly.linear_form(row) for row in M])
 
     def shift(self, point):
-        """f(x + point), exact re-expansion."""
-        subs = [
-            MultiPoly.variable(self.num_vars, i)
-            + MultiPoly.constant(self.num_vars, GaussianRational._coerce(point[i]))
-            for i in range(self.num_vars)
-        ]
-        return self.compose(subs)
+        """f(x + point), by the binomial expansion of every power
+        (x_i + a_i)^k = sum_j C(k, j) a_i^(k - j) x_i^j.
+
+        With the coefficients over their denominator D and the point as
+        Gaussian integers A_i over its denominator d, row (i, k) holds
+        C(k, j) A_i^(k - j) d^j for j = 0..k, built once per call; the
+        product of the rows of a term of degree m, times d^(top - m), is
+        its expansion over D d^top, for the top degree `top` of f. All of
+        it is added up on integer numerators and normalised once.
+        """
+        n = self.num_vars
+        if len(point) != n:
+            raise ValueError("point dimension mismatch")
+        a = [GaussianRational._coerce(x) for x in point]
+        if not self.terms or not any(a):
+            return self
+        D, rows = _integer_terms(self)
+        d = lcm(*[x._d for x in a])
+        gauss = [(x._a * (d // x._d), x._b * (d // x._d)) for x in a]
+        top = self.degree()
+        binomial = {}
+        acc = {}
+        for e, re, im in rows:
+            s = d ** (top - sum(e))
+            parts = [((), re * s, im * s)]
+            for i, k in enumerate(e):
+                row = binomial.get((i, k))
+                if row is None:
+                    row = binomial[i, k] = _binomial_row(gauss[i], d, k)
+                parts = [
+                    (x + (j,), u * p - v * q, u * q + v * p)
+                    for x, u, v in parts
+                    for j, p, q in row
+                ]
+            for x, u, v in parts:
+                t = acc.get(x)
+                if t is None:
+                    acc[x] = [u, v]
+                else:
+                    t[0] += u
+                    t[1] += v
+        return _poly_over(n, acc, D * d**top)
 
     # -- division
 
@@ -533,22 +565,56 @@ def _poly_over(num_vars, acc, D):
     return _poly(num_vars, {e: _qi(re, im, D) for e, (re, im) in acc.items()})
 
 
+def _binomial_row(z, d, k):
+    """[(j, re, im)] for the nonzero C(k, j) z^(k - j) d^j, j = 0..k, with
+    the Gaussian integer z = (re, im)."""
+    x, y = z
+    powers = [(1, 0)]
+    for _ in range(k):
+        p, q = powers[-1]
+        powers.append((p * x - q * y, p * y + q * x))
+    row = []
+    for j in range(k + 1):
+        p, q = powers[k - j]
+        if p or q:
+            s = comb(k, j) * d**j
+            row.append((j, p * s, q * s))
+    return row
+
+
 def linear_combination(num_vars, pairs):
-    """sum c * p over (Q(i) scalar c, MultiPoly p) pairs, added up on the
-    integer numerators over one common denominator."""
-    forms = [(c, _integer_terms(p)) for c, p in pairs]
-    D = lcm(*[c._d * d for c, (d, _) in forms])
+    """sum a * p over the pairs (a, p) of a MultiPoly p and a first factor
+    a that is a Q(i) scalar or a MultiPoly.
+
+    The one accumulation kernel: every product is added up on the
+    Gaussian-integer numerators over one common denominator, and the sum
+    is brought to lowest terms once, with one gcd per coefficient.
+    """
+    forms = []
+    D = 1
+    for a, p in pairs:
+        dp, tp = _integer_terms(p)
+        if isinstance(a, MultiPoly):
+            da, ta = _integer_terms(a)
+        else:
+            # a scalar is one term, whose products keep the exponents of p
+            da, ta = a._d, [(None, a._a, a._b)] if a else []
+        if ta and tp:
+            forms.append((ta, da * dp, tp))
+            D = lcm(D, da * dp)
     acc = {}
-    for c, (d, rows) in forms:
-        s = D // (c._d * d)
-        a, b = c._a * s, c._b * s
-        for e, x, y in rows:
-            t = acc.get(e)
-            if t is None:
-                acc[e] = [a * x - b * y, a * y + b * x]
-            else:
-                t[0] += a * x - b * y
-                t[1] += a * y + b * x
+    for ta, d, tp in forms:
+        s = D // d
+        for e1, x, y in ta:
+            x, y = x * s, y * s
+            for e2, u, v in tp:
+                e = e2 if e1 is None else tuple(map(add, e1, e2))
+                t = acc.get(e)
+                if t is None:
+                    acc[e] = [x * u - y * v, x * v + y * u]
+                else:
+                    t[0] += x * u - y * v
+                    t[1] += x * v + y * u
     return _poly_over(num_vars, acc, D)
 
 
@@ -715,17 +781,31 @@ def _kernel_from_rref(rows, n):
     return basis
 
 
+def _dot(num_vars, xs, ys):
+    """sum x * y over the entries: in Q(i), or when `num_vars` is not None
+    one `linear_combination` with the polynomial of each product second."""
+    if num_vars is None:
+        return sum((x * y for x, y in zip(xs, ys)), QI_ZERO)
+    return linear_combination(
+        num_vars,
+        [(x, y) if isinstance(y, MultiPoly) else (y, x) for x, y in zip(xs, ys)],
+    )
+
+
+def _poly_vars(*entries):
+    """Variable count of the first MultiPoly among the entries, or None."""
+    return next((x.num_vars for x in entries if isinstance(x, MultiPoly)), None)
+
+
 def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0])
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(k)), QI_ZERO) for j in range(m)]
-        for i in range(n)
-    ]
+    n = _poly_vars(*A[0][:1], *B[0][:1]) if A and B else None
+    cols = list(zip(*B))
+    return [[_dot(n, row, col) for col in cols] for row in A]
 
 
 def mat_vec(A, v):
-    return [sum((A[i][j] * v[j] for j in range(len(v))), QI_ZERO) for i in range(len(A))]
+    n = _poly_vars(*A[0][:1], *v[:1]) if A else None
+    return [_dot(n, row, v) for row in A]
 
 
 def mat_identity(n):
@@ -753,6 +833,7 @@ def mat_det(A):
     if n == 0:
         raise ValueError("empty matrix")
     rows = [list(r) for r in A]
+    nv = _poly_vars(rows[0][0])
     negate = False
     for k in range(n - 1):
         piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
@@ -764,19 +845,23 @@ def mat_det(A):
         p = rows[k][k]
         for i in range(k + 1, n):
             a = rows[i][k]
+            na = -a
             for j in range(k + 1, n):
                 if a.is_zero() and rows[i][j].is_zero():
                     continue  # the update keeps a zero entry zero
-                x = p * rows[i][j] - a * rows[k][j]
-                if k and isinstance(x, MultiPoly):
-                    x, r = x.divmod_by(prev)
-                    if not r.is_zero():
-                        raise CertificationError(
-                            "det_division_exact",
-                            {"size": n, "step": k, "remainder": r.render()},
-                        )
-                elif k:
-                    x = x / prev
+                if nv is None:
+                    x = p * rows[i][j] + na * rows[k][j]
+                    if k:
+                        x = x / prev
+                else:
+                    x = linear_combination(nv, ((p, rows[i][j]), (na, rows[k][j])))
+                    if k:
+                        x, r = x.divmod_by(prev)
+                        if not r.is_zero():
+                            raise CertificationError(
+                                "det_division_exact",
+                                {"size": n, "step": k, "remainder": r.render()},
+                            )
                 rows[i][j] = x
         prev = p
     det = rows[-1][-1]

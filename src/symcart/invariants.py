@@ -172,18 +172,21 @@ def phi_from_roots(system):
     return phi
 
 
-def gradient(f, kappa_on_a):
+def gradient(f, kappa_on_a, kappa_inverse=None):
     """Field dual to df through the invariant form, K^{-1} applied to
-    the partials."""
+    the partials. A caller holding K^{-1}, such as a group's
+    `kappa_inverse`, passes it and saves the inversion."""
     from .vecfields import PolyVectorField
 
     n = f.num_vars
     if len(kappa_on_a) != n:
         raise ValueError("form dimension does not match the variable count")
-    try:
-        kinv = mat_inverse(kappa_on_a)
-    except ValueError:
-        raise ValueError("invariant form is degenerate on a") from None
+    kinv = kappa_inverse
+    if kinv is None:
+        try:
+            kinv = mat_inverse(kappa_on_a)
+        except ValueError:
+            raise ValueError("invariant form is degenerate on a") from None
     return PolyVectorField(mat_vec(kinv, [f.partial(i) for i in range(n)]))
 
 
@@ -216,7 +219,7 @@ class Chart:
 
     The Jacobian J of the generators is built and certified nonzero here,
     once per chart. Gradient i is K^{-1} applied to row i of J, for the
-    group's invariant form K, inverted once. The Gram matrix
+    group's invariant form K, read from the group. The Gram matrix
     A_ij = grad(p_i) . p_j is G J^T for the gradient matrix G (one
     gradient per row), and its adjugate, determinant and constant ratio
     to phi come from one certified `_gram` call. `build_chart` adds the
@@ -240,8 +243,7 @@ class Chart:
             raise CertificationError(
                 "jacobian_nonzero", {"jacobian_det": jdet.render()}
             )
-        kinv = mat_inverse(weyl.kappa_on_a)
-        grads = [mat_vec(kinv, row) for row in jac]
+        grads = [mat_vec(weyl.kappa_inverse, row) for row in jac]
         self.gradients = [PolyVectorField(g) for g in grads]
         self.gram_matrix = mat_mul(grads, mat_transpose(jac))
         (self.gram_adjugate, self.gram_det,

@@ -14,7 +14,6 @@ from .exactalg import (
     CertificationError,
     LinearSpan,
     MultiPoly,
-    QI_ONE,
     Qi,
     SpectrumError,  # callers catch it from here
     joint_eigenspaces,
@@ -70,10 +69,18 @@ class WeylGroup:
 
     `act(i, f)` is f(w x) for w = elements[i]. The group keeps, per
     element, the image of every monomial it has been asked for: the
-    sparse columns of Sym^d(w), each computed once by `compose_linear`.
+    sparse columns of Sym^d(w). A new image of x^e of degree two or more
+    is the kept image of x^(e - u_j), for the last j with e_j > 0, times
+    that of x_j, the linear form of row j of w: one product per new
+    monomial.
+
+    `kappa_inverse` is the inverse of the invariant form, inverted at
+    most once per group: `weyl_group` passes the one it built the
+    reflections from, and a group built without one inverts the form on
+    first use.
     """
 
-    def __init__(self, dim, generators, kappa_on_a):
+    def __init__(self, dim, generators, kappa_on_a, kappa_inverse=None):
         ident = mat_identity(dim)
         ginvs = [g if mat_mul(g, g) == ident else mat_inverse(g) for g in generators]
         closure = {_key(ident): (ident, ident)}
@@ -102,21 +109,41 @@ class WeylGroup:
         self.generator_index = [index[_key(g)] for g in generators]
         self.order = len(self.elements)
         self.kappa_on_a = kappa_on_a
+        self._kinv = kappa_inverse
         self._keys = set(closure)
         self._images = [{} for _ in keys]
+
+    @property
+    def kappa_inverse(self):
+        if self._kinv is None:
+            try:
+                self._kinv = mat_inverse(self.kappa_on_a)
+            except ValueError:
+                raise ValueError("invariant form is degenerate on a") from None
+        return self._kinv
 
     def act(self, i, f):
         """f(w x) for the element w = elements[i], summed over the terms
         c x^e of f from the kept images of the monomials x^e under w."""
+        return linear_combination(
+            f.num_vars, [(c, self._image(i, e)) for e, c in f.terms.items()]
+        )
+
+    def _image(self, i, e):
         images = self._images[i]
-        pairs = []
-        for e, c in f.terms.items():
-            img = images.get(e)
-            if img is None:
-                mono = MultiPoly(f.num_vars, {e: QI_ONE})
-                img = images[e] = mono.compose_linear(self.elements[i])
-            pairs.append((c, img))
-        return linear_combination(f.num_vars, pairs)
+        img = images.get(e)
+        if img is None:
+            j = max((k for k, x in enumerate(e) if x), default=None)
+            if j is None:
+                img = MultiPoly.one(self.dim)
+            elif sum(e) == 1:
+                img = MultiPoly.linear_form(self.elements[i][j])
+            else:
+                unit = tuple(int(k == j) for k in range(self.dim))
+                rest = tuple(x - u for x, u in zip(e, unit))
+                img = self._image(i, rest) * self._image(i, unit)
+            images[e] = img
+        return img
 
     def contains(self, m):
         return _key(m) in self._keys
@@ -200,18 +227,20 @@ def _joint_eigenspaces(ads):
     return roots, zero_dim
 
 
-def weyl_group(roots, kappa_on_a):
+def weyl_group(roots, kappa_on_a, kappa_inverse=None):
     """The group generated by the root reflections s_a built from the
     kappa-induced form.
 
     `roots` is a `RestrictedRootSystem` or a list of `RestrictedRoot`.
+    The form is inverted here unless its inverse is passed in, and the
+    group keeps it as `kappa_inverse`.
     Each generating reflection is checked to permute the roots with their
     multiplicities; products of such permutations are permutations, so
     that certifies every element.
     """
     root_list = roots.roots if isinstance(roots, RestrictedRootSystem) else roots
     dim = len(kappa_on_a)
-    kinv = mat_inverse(kappa_on_a)
+    kinv = mat_inverse(kappa_on_a) if kappa_inverse is None else kappa_inverse
     generators = []
     seen_gen = set()
     for r in root_list:
@@ -254,7 +283,7 @@ def weyl_group(roots, kappa_on_a):
                     },
                 )
 
-    return WeylGroup(dim, generators, kappa_on_a)
+    return WeylGroup(dim, generators, kappa_on_a, kinv)
 
 
 def local_subsystem(system, weyl, a_point):
@@ -267,7 +296,8 @@ def local_subsystem(system, weyl, a_point):
         for r in system.roots
         if sum((f * x for f, x in zip(r.functional, pt)), Qi(0)).is_zero()
     ]
-    W_a = weyl_group(roots_a, weyl.kappa_on_a)
+    kinv = weyl.kappa_inverse
+    W_a = weyl_group(roots_a, weyl.kappa_on_a, kinv)
     # W_a is the closure of its generators, so checking them covers W_a
     for g in W_a.generators:
         if not weyl.contains(g):
@@ -275,7 +305,6 @@ def local_subsystem(system, weyl, a_point):
                 "local_group_in_weyl", {"matrix": render_matrix(g)}
             )
 
-    kinv = mat_inverse(weyl.kappa_on_a)
     b_span = LinearSpan(dim)
     for r in roots_a:
         b_span.add(mat_vec(kinv, r.functional))

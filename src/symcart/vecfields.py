@@ -13,6 +13,7 @@ from .exactalg import (
     CertificationError,
     GaussianRational,
     MultiPoly,
+    QI_ONE,
     linear_combination,
     mat_det,
     mat_transpose,
@@ -48,10 +49,9 @@ class PolyVectorField:
 
     def apply_to(self, f):
         """Directional derivative of f along the field."""
-        acc = MultiPoly.zero(self.dim)
-        for i, c in enumerate(self.components):
-            acc = acc + c * f.partial(i)
-        return acc
+        return linear_combination(
+            self.dim, [(c, f.partial(i)) for i, c in enumerate(self.components)]
+        )
 
     def evaluate(self, point):
         return [c.evaluate(point) for c in self.components]
@@ -127,12 +127,23 @@ def is_invariant_field(X, weyl):
 
 def reynolds_field(weyl, X):
     """Group average of the pushed-forward field, the exact projector
-    onto invariant fields."""
-    pushed = [_push(weyl, i, X) for i in range(weyl.order)]
+    onto invariant fields: component k is the one sum of
+    (w_kl / |W|) X_l(w^{-1} x) over the elements w and the indices l."""
     scale = Qi(Fraction(1, weyl.order))
+    moved = [
+        [weyl.act(j, c) for c in X.components] for j in weyl.inverse_index
+    ]
     return PolyVectorField(
         [
-            linear_combination(X.dim, [(scale, p[k]) for p in pushed])
+            linear_combination(
+                X.dim,
+                [
+                    (w[k][l] * scale, ml)
+                    for w, mw in zip(weyl.elements, moved)
+                    for l, ml in enumerate(mw)
+                    if w[k][l]
+                ],
+            )
             for k in range(X.dim)
         ]
     )
@@ -292,9 +303,7 @@ class Jet:
     def polynomial(self):
         """Sum of the components, written back in the ambient variable."""
         n = self.components[0].num_vars
-        acc = MultiPoly.zero(n)
-        for p in self.components:
-            acc = acc + p
+        acc = linear_combination(n, [(QI_ONE, p) for p in self.components])
         return acc.shift([-x for x in self.base_point])
 
     def __eq__(self, other):
@@ -319,7 +328,8 @@ def jet_of(f, a_point, N):
     pt = [Qi._coerce(x) for x in a_point]
     g = f.shift(pt)
     parts = g.homogeneous_components()
-    comps = [parts.get(k, MultiPoly.zero(f.num_vars)) for k in range(N + 1)]
+    zero = MultiPoly.zero(f.num_vars)
+    comps = [parts.get(k, zero) for k in range(N + 1)]
     return Jet(pt, N, comps)
 
 
@@ -341,12 +351,11 @@ def jet_mul(J1, J2):
     _check_compatible(J1, J2)
     N = J1.truncation_order
     n = J1.components[0].num_vars
-    comps = []
-    for k in range(N + 1):
-        acc = MultiPoly.zero(n)
-        for j in range(k + 1):
-            acc = acc + J1.components[j] * J2.components[k - j]
-        comps.append(acc)
+    a, b = J1.components, J2.components
+    comps = [
+        linear_combination(n, [(a[j], b[k - j]) for j in range(k + 1)])
+        for k in range(N + 1)
+    ]
     return Jet(J1.base_point, N, comps)
 
 
@@ -358,21 +367,23 @@ def jet_invert(J):
         raise ValueError("jet is not invertible: constant term vanishes")
     n = J.components[0].num_vars
     cinv = Qi(1) / c
+    # out_k = -(1/c) sum_{j >= 1} J_j out_{k-j}, with -1/c folded in once
+    scaled = [p * -cinv for p in J.components]
     out = [MultiPoly.constant(n, cinv)]
     for k in range(1, J.truncation_order + 1):
-        acc = MultiPoly.zero(n)
-        for j in range(1, k + 1):
-            acc = acc + J.components[j] * out[k - j]
-        out.append(acc * (-cinv))
+        out.append(
+            linear_combination(n, [(scaled[j], out[k - j]) for j in range(1, k + 1)])
+        )
     return Jet(J.base_point, J.truncation_order, out)
 
 
-def jet_gradient_action(R, J, kappa):
+def jet_gradient_action(R, J, kappa, kappa_inverse=None):
     """Action of the gradient field of R on a jet, slot by slot.
 
     R must be homogeneous of degree d >= 1 in x - base_point; output
     slot k receives grad(R) applied to input slot k - d + 2 and the
-    truncation drops to N + d - 2 when d = 1.
+    truncation drops to N + d - 2 when d = 1. `kappa_inverse` is passed
+    on to `gradient`.
     """
     Ru = R.shift(J.base_point)
     if Ru.is_zero() or not Ru.is_homogeneous():
@@ -380,7 +391,7 @@ def jet_gradient_action(R, J, kappa):
     d = Ru.degree()
     if d < 1:
         raise ValueError("R must have positive degree")
-    grad = gradient(Ru, kappa)
+    grad = gradient(Ru, kappa, kappa_inverse)
     N = J.truncation_order
     n_out = min(N, N + d - 2)
     if n_out < 0:

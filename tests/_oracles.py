@@ -58,7 +58,10 @@ def sl3_weyl_matrices_by_weight_permutations():
                 rows.append(row)
                 rhs.append(L[perm[i]][c])
         sol = solve_exact(rows, rhs)
-        assert sol.particular is not None and not sol.kernel
+        # an explicit raise: pytest does not rewrite this module, so
+        # python -O would strip an assert
+        if sol.particular is None or sol.kernel:
+            raise AssertionError(f"weight permutation {perm} has no unique matrix")
         w = sol.particular
         out.append(((w[0], w[1]), (w[2], w[3])))
     return out

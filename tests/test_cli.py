@@ -263,6 +263,36 @@ def test_verify_whole_catalog(capsys, monkeypatch):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_verify_inverts_each_form_once_per_group(capsys, monkeypatch):
+    # every WeylGroup keeps the inverse of its invariant form; a local
+    # group reads its parent's, and the gradients of the jet checks read
+    # the chart's group
+    groups = []
+    built = rootsys.WeylGroup.__init__
+
+    def record(self, *args):
+        built(self, *args)
+        groups.append(self)
+
+    monkeypatch.setattr(rootsys.WeylGroup, "__init__", record)
+    inverted = []
+    original = rootsys.mat_inverse
+
+    def counted(A):
+        inverted.append(A)
+        return original(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "symcart" and (
+            getattr(module, "mat_inverse", None) is original
+        ):
+            monkeypatch.setattr(module, "mat_inverse", counted)
+    code, _ = run(["verify", "--pair", "sl3-so21"], capsys)
+    assert code == 0
+    forms = [A for A in inverted if any(A == W.kappa_on_a for W in groups)]
+    assert 0 < len(forms) <= len(groups)
+
+
 def test_unknown_pair_is_input_error(capsys):
     code, report = run_json(["phi", "--pair", "nope"], capsys)
     assert code == 3
@@ -417,6 +447,22 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     parsed = json.loads(proc.stdout)
     assert [e["name"] for e in parsed["results"]["pairs"]] == CATALOG_NAMES
+
+
+def test_closed_stdout_ends_with_a_message(tmp_path):
+    # the reader closes the pipe before the child writes its report
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symcart.cli", "roots", "--pair", "sl2-so2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(tmp_path),
+        env=_child_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_CLOSED_STDOUT
+    assert err == "symcart: stdout was closed before the report was written\n"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import count_calls, rand_poly, weighted_partition_count
+from _oracles import rand_poly, weighted_partition_count
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, MultiPoly, mat_vec
 from symcart.invariants import (
@@ -304,13 +304,33 @@ def _fixture_weyl(path):
     return weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
 
 
+def _count_products(monkeypatch):
+    """One entry per product of two polynomials, the cost of a new
+    monomial image in `WeylGroup.act`."""
+    calls = []
+    original = MultiPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, MultiPoly):
+            calls.append(other.num_vars)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    return calls
+
+
+def _kept_images(weyl):
+    return sum(len(images) for images in weyl._images)
+
+
 @pytest.mark.parametrize(
     "name",
     ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", "sl2-so2-cubed", "sl4-so4"],
 )
 def test_cached_action_matches_plain_composition(name, monkeypatch):
     # f(w x) read from the group's kept monomial images equals f composed
-    # with the linear forms of w's rows, whether the images are new or kept
+    # with the linear forms of w's rows, whether the images are new or
+    # kept; a new image costs at most one product, a kept one none
     if name == "sl2-so2-cubed":
         weyl = _fixture_weyl(ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json")
     elif name == "sl4-so4":
@@ -323,23 +343,27 @@ def test_cached_action_matches_plain_composition(name, monkeypatch):
         [f.compose([MultiPoly.linear_form(row) for row in w]) for f in polys]
         for w in weyl.elements
     ]
-    calls = count_calls(monkeypatch, "MultiPoly.compose_linear")
+    calls = _count_products(monkeypatch)
     for warm in (False, True):
+        kept = _kept_images(weyl)
         for i, images in enumerate(expected):
             for f, fw in zip(polys, images):
                 assert weyl.act(i, f) == fw, (name, warm, i, f)
         if warm:
             assert calls == []
+            assert _kept_images(weyl) == kept
         else:
-            assert 0 < len(calls) <= weyl.order * sum(len(f.terms) for f in polys)
+            assert 0 < len(calls) <= _kept_images(weyl) - kept
             calls.clear()
 
 
 def test_field_average_composes_less_on_a_warm_group(monkeypatch):
+    # the monomial images a cold group fills are products; a warm group
+    # reads them all back and multiplies no polynomials
     _, _, weyl = _setup("sl3-so21")
     rng = random.Random(5)
     X = PolyVectorField([rand_poly(rng, 2, 4) for _ in range(2)])
-    calls = count_calls(monkeypatch, "MultiPoly.compose_linear")
+    calls = _count_products(monkeypatch)
     Y = reynolds_field(weyl, X)
     cold = len(calls)
     calls.clear()

@@ -3,19 +3,35 @@ round-trip through their rendering, obey the field axioms against a
 Fraction-pair oracle and keep one canonical integer triple per value;
 polynomial rendering round-trips through the parser, single-divisor
 division reassembles its input, and the Q(i) root search finds exactly
-the rational roots of polynomials built from them."""
+the rational roots of polynomials built from them. The fused
+`linear_combination` matches a term-by-term Q(i) sum, the binomial
+`shift` matches composition with x + a, and the jet products and the
+Reynolds field match the accumulation loops they replace."""
 
+import functools
+from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
     MultiPoly,
     gaussian_rational_roots,
+    linear_combination,
     parse_scalar,
     render_scalar,
+)
+from symcart.liesym import catalog_pair
+from symcart.rootsys import restricted_roots, weyl_group
+from symcart.vecfields import (
+    PolyVectorField,
+    _push,
+    jet_invert,
+    jet_mul,
+    jet_of,
+    reynolds_field,
 )
 
 _parts = st.one_of(
@@ -137,3 +153,120 @@ def test_roots_are_exactly_the_rational_factors(rs, c, g):
     # zero first, then the candidates in their sort order, each once
     assert roots == sorted(set(rs), key=lambda s: (not s.is_zero(), s.sort_key()))
     assert split == (g == "1")
+
+
+def _naive_sum(n, pairs):
+    """sum a * p term by term in Q(i) scalars, without common
+    denominators: the reference for the fused kernel."""
+    terms = {}
+    for a, p in pairs:
+        left = a.terms if isinstance(a, MultiPoly) else {(0,) * n: a}
+        for e1, c1 in left.items():
+            for e2, c2 in p.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                terms[e] = terms.get(e, Qi(0)) + c1 * c2
+    return MultiPoly(n, terms)
+
+
+def _pairs(n):
+    factor = st.one_of(_scalars, _polys(n), st.just(MultiPoly.zero(n)))
+    return st.lists(st.tuples(factor, _polys(n)), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_num_vars.flatmap(lambda n: st.tuples(st.just(n), _pairs(n))))
+def test_linear_combination_matches_termwise_sum(case):
+    n, pairs = case
+    fused = linear_combination(n, pairs)
+    assert fused == _naive_sum(n, pairs)
+    for c in fused.terms.values():
+        assert c and c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.tuples(
+            _polys(n),
+            st.lists(_wide, min_size=n, max_size=n),
+            st.lists(_scalars, min_size=n, max_size=n),
+        )
+    )
+)
+def test_shift_is_composition_with_a_translation(case):
+    f, a, x = case
+    n = f.num_vars
+    g = f.shift(a)
+    subs = [MultiPoly.variable(n, i) + MultiPoly.constant(n, a[i]) for i in range(n)]
+    assert g == f.compose(subs)
+    assert g.shift([-c for c in a]) == f
+    assert g.evaluate(x) == f.evaluate([u + v for u, v in zip(x, a)])
+
+
+def _old_jet_mul(J1, J2):
+    n = J1.components[0].num_vars
+    comps = []
+    for k in range(J1.truncation_order + 1):
+        acc = MultiPoly.zero(n)
+        for j in range(k + 1):
+            acc = acc + J1.components[j] * J2.components[k - j]
+        comps.append(acc)
+    return comps
+
+
+def _old_jet_invert(J):
+    n = J.components[0].num_vars
+    cinv = Qi(1) / J.components[0].constant_term()
+    out = [MultiPoly.constant(n, cinv)]
+    for k in range(1, J.truncation_order + 1):
+        acc = MultiPoly.zero(n)
+        for j in range(1, k + 1):
+            acc = acc + J.components[j] * out[k - j]
+        out.append(acc * (-cinv))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.tuples(
+            _polys(n),
+            _polys(n),
+            st.lists(_scalars, min_size=n, max_size=n),
+            st.integers(0, 4),
+        )
+    )
+)
+def test_jet_products_match_the_accumulation_loops(case):
+    f, g, base, N = case
+    Jf, Jg = jet_of(f, base, N), jet_of(g, base, N)
+    assert jet_mul(Jf, Jg).components == _old_jet_mul(Jf, Jg)
+    assume(not f.evaluate(base).is_zero())
+    assert jet_invert(Jf).components == _old_jet_invert(Jf)
+
+
+@functools.cache
+def _catalog_weyl(name):
+    pair = catalog_pair(name)
+    return weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
+
+
+@st.composite
+def _fields(draw):
+    weyl = _catalog_weyl(
+        draw(st.sampled_from(["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal"]))
+    )
+    return weyl, PolyVectorField([draw(_polys(weyl.dim)) for _ in range(weyl.dim)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fields())
+def test_reynolds_field_is_the_average_of_the_pushes(case):
+    weyl, X = case
+    pushed = [_push(weyl, i, X) for i in range(weyl.order)]
+    scale = Qi(Fraction(1, weyl.order))
+    average = [
+        sum((p[k] for p in pushed), MultiPoly.zero(X.dim)) * scale
+        for k in range(X.dim)
+    ]
+    assert reynolds_field(weyl, X).components == average

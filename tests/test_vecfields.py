@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import average_field, average_poly, rand_poly
-from symcart import exactalg, invariants
+from _oracles import average_field, average_poly, count_calls, rand_poly
+from symcart import exactalg
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import MultiPoly, mat_identity
 from symcart.invariants import build_chart, gradient, is_invariant, local_chart
@@ -297,22 +297,16 @@ def test_phi_in_generators_is_solved_once_per_chart(monkeypatch):
 
 
 def test_each_chart_inverts_the_invariant_form_once(monkeypatch):
-    # the gradients come from the one Jacobian through one inverse form;
-    # a local chart also inverts its adapted frame
-    calls = []
-    original = invariants.mat_inverse
-
-    def counted(A):
-        calls.append(len(A))
-        return original(A)
-
-    monkeypatch.setattr(invariants, "mat_inverse", counted)
+    # the gradients come from the one Jacobian through the inverse form
+    # its group keeps; a local chart reads its parent's and inverts only
+    # its adapted frame
+    calls = count_calls(monkeypatch, "mat_inverse")
     chart = build_chart(catalog_pair("sl3-so21"))
-    assert len(calls) == 1
+    assert calls == [2]
     cubed = _fixture_chart(ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json")
-    assert len(calls) == 2 and cubed.rank == 3
+    assert calls == [2, 3] and cubed.rank == 3
     local_chart(chart, [Qi(0), Qi(0)])
-    assert len(calls) == 4
+    assert calls == [2, 3, 2]
 
 
 def test_lift_oracles():
