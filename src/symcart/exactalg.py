@@ -17,13 +17,19 @@ are `MultiPoly.__mul__` and `compose`, the polynomial `mat_mul`,
 the pushed and averaged fields, `jet_mul`, `jet_invert` and
 `Jet.polynomial`. `MultiPoly.shift` expands (x + a)^k binomially on the
 same integer numerators.
+
+Every sum of Q(i) products goes through its scalar twin, `_dot`, in the
+same way: the Q(i) `mat_mul` and `mat_vec`, the Bareiss update of a
+scalar `mat_det`, the row reductions of `LinearSpan` (so every solve,
+kernel, inverse and rank), `MultiPoly.evaluate`, and in `liesym` and
+`rootsys` every bracket, ad matrix, trace form and kappa value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add
 
 
@@ -404,13 +410,11 @@ class MultiPoly:
             for _ in range(max((e[i] for e in self.terms), default=0)):
                 pw.append(pw[-1] * p)
             powers.append(pw)
-        acc = QI_ZERO
-        for e, c in self.terms.items():
-            for pw, k in zip(powers, e):
-                if k:
-                    c = c * pw[k]
-            acc = acc + c
-        return acc
+        monomials = [
+            prod((pw[k] for pw, k in zip(powers, e) if k), start=QI_ONE)
+            for e in self.terms
+        ]
+        return _dot(None, self.terms.values(), monomials)
 
     def compose(self, subs):
         """Substitute subs[i] for variable i; subs share one variable count."""
@@ -782,14 +786,33 @@ def _kernel_from_rref(rows, n):
 
 
 def _dot(num_vars, xs, ys):
-    """sum x * y over the entries: in Q(i), or when `num_vars` is not None
-    one `linear_combination` with the polynomial of each product second."""
-    if num_vars is None:
-        return sum((x * y for x, y in zip(xs, ys)), QI_ZERO)
-    return linear_combination(
-        num_vars,
-        [(x, y) if isinstance(y, MultiPoly) else (y, x) for x, y in zip(xs, ys)],
-    )
+    """sum x * y over the entries: when `num_vars` is not None one
+    `linear_combination` with the polynomial of each product second.
+
+    In Q(i) it is that kernel's scalar twin: the nonzero products are
+    added up as Gaussian-integer numerators over one common denominator,
+    and the sum is brought to lowest terms once.
+    """
+    if num_vars is not None:
+        return linear_combination(
+            num_vars,
+            [(x, y) if isinstance(y, MultiPoly) else (y, x) for x, y in zip(xs, ys)],
+        )
+    re = im = 0
+    D = 1
+    for x, y in zip(xs, ys):
+        a, b = x._a, x._b
+        if a or b:
+            c, e = y._a, y._b
+            if c or e:
+                d = x._d * y._d
+                if D % d:
+                    s = lcm(D, d) // D
+                    re, im, D = re * s, im * s, D * s
+                s = D // d
+                re += (a * c - b * e) * s
+                im += (a * e + b * c) * s
+    return _qi(re, im, D)
 
 
 def _poly_vars(*entries):
@@ -849,19 +872,16 @@ def mat_det(A):
             for j in range(k + 1, n):
                 if a.is_zero() and rows[i][j].is_zero():
                     continue  # the update keeps a zero entry zero
-                if nv is None:
-                    x = p * rows[i][j] + na * rows[k][j]
-                    if k:
-                        x = x / prev
-                else:
-                    x = linear_combination(nv, ((p, rows[i][j]), (na, rows[k][j])))
-                    if k:
-                        x, r = x.divmod_by(prev)
-                        if not r.is_zero():
-                            raise CertificationError(
-                                "det_division_exact",
-                                {"size": n, "step": k, "remainder": r.render()},
-                            )
+                x = _dot(nv, (p, na), (rows[i][j], rows[k][j]))
+                if k and nv is None:
+                    x = x / prev
+                elif k:
+                    x, r = x.divmod_by(prev)
+                    if not r.is_zero():
+                        raise CertificationError(
+                            "det_division_exact",
+                            {"size": n, "step": k, "remainder": r.render()},
+                        )
                 rows[i][j] = x
         prev = p
     det = rows[-1][-1]
@@ -896,12 +916,14 @@ class LinearSpan:
         self.rows = []  # (pivot index, normalized vector), sorted by pivot
 
     def reduce(self, vec):
+        """vec minus one combination of the rows: they are fully reduced,
+        so the coefficient of each is the entry of vec at its pivot."""
         v = [GaussianRational._coerce(x) for x in vec]
-        for piv, row in self.rows:
-            if not v[piv].is_zero():
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        used = [(-v[piv], row) for piv, row in self.rows if v[piv]]
+        if not used:
+            return v
+        coeffs = [QI_ONE] + [f for f, _ in used]
+        return [_dot(None, coeffs, col) for col in zip(v, *[row for _, row in used])]
 
     def contains(self, vec):
         return all(x.is_zero() for x in self.reduce(vec))
@@ -911,12 +933,12 @@ class LinearSpan:
         piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
         if piv is None:
             return False
-        inv = QI_ONE / v[piv]
-        v = [x * inv for x in v]
+        p = v[piv]
+        v = [x / p if x else x for x in v]
         for k, (p2, row) in enumerate(self.rows):
-            if not row[piv].is_zero():
-                f = row[piv]
-                self.rows[k] = (p2, [a - f * b for a, b in zip(row, v)])
+            if row[piv]:
+                coeffs = (QI_ONE, -row[piv])
+                self.rows[k] = (p2, [_dot(None, coeffs, xy) for xy in zip(row, v)])
         self.rows.append((piv, v))
         self.rows.sort(key=lambda t: t[0])
         return True
@@ -1060,8 +1082,9 @@ def joint_eigenspaces(mats):
             filled = 0
             for lam in eigs:
                 # coordinates u with (A - lam) sum_k u_k basis_k = 0
+                coeffs = (QI_ONE, -lam)
                 M = [
-                    [w[r] - lam * v[r] for v, w in zip(basis, images)]
+                    [_dot(None, coeffs, (w[r], v[r])) for v, w in zip(basis, images)]
                     for r in range(n)
                 ]
                 sub = [mat_vec(basis_t, u) for u in kernel_basis(M)]

@@ -13,39 +13,45 @@ from .exactalg import (
     joint_eigenspaces,
     kernel_basis,
     mat_det,
+    mat_identity,
     mat_inverse,
     mat_mul,
     mat_rank,
     mat_transpose,
+    mat_vec,
 )
 from .invariants import build_chart
-from .liesym import SL3_SO21_H, SL3_SO21_Q, _commutator, catalog_pair
+from .liesym import (
+    SL3_SO21_H,
+    SL3_SO21_Q,
+    _commutator,
+    _flat,
+    _is_zero_vec,
+    _mat,
+    _trace_prod,
+    catalog_pair,
+)
 
 Qi = GaussianRational
 _I = Qi(0, 1)
 
-
-def _m(rows):
-    return [[x if isinstance(x, Qi) else Qi(x) for x in row] for row in rows]
-
-
-I21 = _m([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+I21 = _mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 
 # +1 and -1 eigenvectors of the involution A -> -I21 (transpose A) I21,
 # the matrices the catalog builds sl3-so21 from; q has parameters
 # (a, b, c, d, e)
-H_BASIS = [_m(h) for h in SL3_SO21_H]
-Q_BASIS = [_m(q) for q in SL3_SO21_Q]
+H_BASIS = [_mat(h) for h in SL3_SO21_H]
+Q_BASIS = [_mat(q) for q in SL3_SO21_Q]
 
 # the Cartan subspace, parameters (x, y)
 A_BASIS = [
-    _m([[1, 0, 0], [0, -2, 0], [0, 0, 1]]),
-    _m([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+    _mat([[1, 0, 0], [0, -2, 0], [0, 0, 1]]),
+    _mat([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
 ]
 
 MC_WITNESSES = [
-    _m([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    _m([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    _mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    _mat([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
     [[Qi(0), Qi(0), _I], [Qi(0), Qi(-1), Qi(0)], [-_I, Qi(0), Qi(0)]],
     [[Qi(0), Qi(0), -_I], [Qi(0), Qi(-1), Qi(0)], [_I, Qi(0), Qi(0)]],
 ]
@@ -53,15 +59,7 @@ MC_WITNESSES = [
 # fixed space of the real centralizer inside q, parameters (x, y, z)
 QM_SHAPE = "{{x,0,y},{0,z,0},{-y,0,-(x+z)}}"
 
-V_MATRIX = _m([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
-
-
-def _trace(m):
-    return sum((m[i][i] for i in range(3)), Qi(0))
-
-
-def _flat(m):
-    return [x for row in m for x in row]
+V_MATRIX = _mat([[1, 0, 0], [0, 0, 0], [0, 0, -1]])
 
 
 def _sigma(a):
@@ -69,27 +67,14 @@ def _sigma(a):
     return [[-x for x in row] for row in out]
 
 
-def _is_zero_mat(m):
-    return all(x.is_zero() for row in m for x in row)
-
-
-def _a_point(x, y):
-    return [
-        [
-            A_BASIS[0][i][j] * x + A_BASIS[1][i][j] * y
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-
-
 def _check_dimensions():
+    ident = mat_identity(3)
     for h in H_BASIS:
-        if _sigma(h) != h or not _trace(h).is_zero():
+        if _sigma(h) != h or not _trace_prod(h, ident).is_zero():
             return False, "claimed h vector is not a fixed traceless matrix"
     for q in Q_BASIS:
         neg = [[-x for x in row] for row in q]
-        if _sigma(q) != neg or not _trace(q).is_zero():
+        if _sigma(q) != neg or not _trace_prod(q, ident).is_zero():
             return False, "claimed q vector is not an anti-fixed traceless matrix"
     flats = [_flat(m) for m in H_BASIS + Q_BASIS]
     if mat_rank(flats) != len(flats):
@@ -97,20 +82,23 @@ def _check_dimensions():
     return True, "dim h = 3, dim q = 5, together all of the traceless matrices"
 
 
-def _centralizer_in_q(point):
-    # kernel of v -> [point, v] over the q coordinates
+def _centralizer_in_q(coords):
+    # the point sum coords_k A_k, then the kernel of v -> [point, v] over
+    # the q coordinates
+    flat = mat_vec(mat_transpose([_flat(a) for a in A_BASIS]), coords)
+    point = [flat[i : i + 3] for i in (0, 3, 6)]
     columns = [_flat(_commutator(point, q)) for q in Q_BASIS]
     return kernel_basis(mat_transpose(columns))
 
 
 def _check_cartan():
-    if not _is_zero_mat(_commutator(A_BASIS[0], A_BASIS[1])):
+    if not _is_zero_vec(_flat(_commutator(A_BASIS[0], A_BASIS[1]))):
         return False, "a is not abelian"
     # commuting matrices with joint eigenspaces filling C^3 are
     # simultaneously diagonalisable, so every element of a is semisimple
     if joint_eigenspaces(A_BASIS)[1] is not None:
         return False, "a contains a non-semisimple element"
-    kern = _centralizer_in_q(_a_point(Qi(1), Qi(2)))
+    kern = _centralizer_in_q([Qi(1), Qi(2)])
     if len(kern) != 2:
         return False, "centralizer of a regular point has dimension %d" % len(kern)
     a_coords = [
@@ -160,7 +148,7 @@ def _check_fixed_space():
 
 def _check_orthogonality(v):
     for a in A_BASIS:
-        val = _trace(mat_mul(v, a))
+        val = _trace_prod(v, a)
         if not val.is_zero():
             return False, "trace pairing with a is %r" % val
     return True, "v is trace-orthogonal to a"
@@ -207,11 +195,11 @@ def verify_example93():
 def control_flipped_involution():
     """Negative control: a sign-flipped metric in the fixed-point equation
     must break the witness check."""
-    return _verify(_m([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), V_MATRIX)
+    return _verify(_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]]), V_MATRIX)
 
 
 def control_offaxis_v():
     """Negative control: a fixed-space element with a y-component is not
     orthogonal to a."""
-    vbad = _m([[1, 0, 1], [0, 0, 0], [-1, 0, -1]])
+    vbad = _mat([[1, 0, 1], [0, 0, 0], [-1, 0, -1]])
     return _verify(I21, vbad)

@@ -9,24 +9,31 @@ a Cartan basis in q that is independent, abelian and maximal. Construction
 does not certify that the Cartan basis is semisimple: the eigenspaces that
 `rootsys.restricted_roots` (and so `build_chart`) splits g into must fill
 it, and it refuses a basis vector whose eigenspaces do not.
+
+The identities are checked on the ad matrices ad_i = ad(e_i) of the
+basis, with every sum of products in the one Q(i) dot product of
+`exactalg`: Jacobi in `LieAlgebra`, and the invariance of kappa in
+`SymmetricPair`, as K ad_i antisymmetric.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import itertools
 
 from .exactalg import (
     CertificationError,
     GaussianRational,
     LinearSpan,
     Qi,
+    _dot,
     joint_eigenspaces,
     kernel_basis,
     mat_det,
     mat_identity,
     mat_mul,
     mat_rank,
+    mat_transpose,
     mat_vec,
     parse_scalar,
 )
@@ -64,31 +71,30 @@ def _is_zero_vec(v):
 
 
 class LieAlgebra:
-    """Lie algebra over Q(i) by structure constants c[i][j][k]."""
+    """Lie algebra over Q(i) by structure constants c[i][j][k].
+
+    `ads[i]` is the matrix of ad(e_i); its column j is c[i][j] = [e_i, e_j],
+    so it is the transpose of c[i]. Jacobi is checked on these matrices,
+    one `mat_vec` of [ad_i | ad_j | ad_k] per basis triple i < j < k:
+    ad_i c[j][k] + ad_j c[k][i] + ad_k c[i][j] = 0. `ad(x)` is
+    sum x_i ad_i, one dot per entry, and `bracket(x, y)` is ad(x) y.
+    """
 
     def __init__(self, dim, structure_constants):
         self.dim = dim
         c = [[_vec(structure_constants[i][j]) for j in range(dim)] for i in range(dim)]
         self.c = c
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise ValueError(
-                            f"structure constants violate antisymmetry at ({i}, {j}, {k})"
-                        )
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            if c[i][j][k] != -c[j][i][k]:
+                raise ValueError(
+                    f"structure constants violate antisymmetry at ({i}, {j}, {k})"
+                )
+        ads = self.ads = [mat_transpose(ci) for ci in c]
         # Jacobi on basis triples; bilinearity extends it to everything
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for k in range(j + 1, dim):
-                    ei, ej, ek = (self._unit(t) for t in (i, j, k))
-                    s = self.bracket(self.bracket(ei, ej), ek)
-                    s = [a + b for a, b in zip(s, self.bracket(self.bracket(ej, ek), ei))]
-                    s = [a + b for a, b in zip(s, self.bracket(self.bracket(ek, ei), ej))]
-                    if not _is_zero_vec(s):
-                        raise ValueError(
-                            f"Jacobi identity fails at basis triple ({i}, {j}, {k})"
-                        )
+        for i, j, k in itertools.combinations(range(dim), 3):
+            rows = [a + b + d for a, b, d in zip(ads[i], ads[j], ads[k])]
+            if not _is_zero_vec(mat_vec(rows, c[j][k] + c[k][i] + c[i][j])):
+                raise ValueError(f"Jacobi identity fails at basis triple ({i}, {j}, {k})")
 
     def _unit(self, i):
         v = [Qi(0)] * self.dim
@@ -96,39 +102,18 @@ class LieAlgebra:
         return v
 
     def bracket(self, x, y):
-        x = _vec(x)
-        y = _vec(y)
-        out = [Qi(0)] * self.dim
-        for i in range(self.dim):
-            if x[i].is_zero():
-                continue
-            for j in range(self.dim):
-                if y[j].is_zero():
-                    continue
-                f = x[i] * y[j]
-                row = self.c[i][j]
-                for k in range(self.dim):
-                    if not row[k].is_zero():
-                        out[k] = out[k] + f * row[k]
-        return out
+        return mat_vec(self.ad(x), _vec(y))
 
     def ad(self, x):
         """The matrix of ad(x): column j holds [x, e_j]."""
         x = _vec(x)
-        n = self.dim
-        M = [[Qi(0)] * n for _ in range(n)]
-        for i in range(n):
-            if x[i].is_zero():
-                continue
-            for j in range(n):
-                for k in range(n):
-                    v = self.c[i][j][k]
-                    if not v.is_zero():
-                        M[k][j] = M[k][j] + x[i] * v
-        return M
+        return [
+            [_dot(None, x, entries) for entries in zip(*rows)]
+            for rows in zip(*self.ads)
+        ]
 
     def killing(self):
-        ads = [self.ad(self._unit(i)) for i in range(self.dim)]
+        ads = self.ads
         n = self.dim
         B = [[Qi(0)] * n for _ in range(n)]
         for i in range(n):
@@ -149,18 +134,16 @@ class CartanSubspace:
         coords = _vec(coords)
         if len(coords) != self.rank:
             raise ValueError("coordinate count does not match the rank")
-        n = len(self.basis[0]) if self.basis else 0
-        out = [Qi(0)] * n
-        for c, v in zip(coords, self.basis):
-            out = [a + c * b for a, b in zip(out, v)]
-        return out
+        return mat_vec(mat_transpose(self.basis), coords)
 
 
 class SymmetricPair:
     """A reductive algebra with involution sigma and invariant form kappa.
 
     The basis must be sigma-adapted: every basis vector is a +1 or -1
-    eigenvector, giving the h/q index split directly.
+    eigenvector, giving the h/q index split directly. kappa is invariant
+    when K ad_i is antisymmetric for every i, one `mat_mul` per basis
+    vector; `kappa_form(x, y)` is the dot of x with K y.
     """
 
     def __init__(self, algebra, sigma, kappa, name="", cartan=None):
@@ -219,16 +202,15 @@ class SymmetricPair:
             for j in range(n):
                 if eps[i] != eps[j] and not K[i][j].is_zero():
                     raise ValueError("kappa is not sigma-invariant")
-        for i in range(n):
-            for j in range(n):
-                bij = algebra.c[i][j]
-                for k in range(n):
-                    lhs = self.kappa_form(bij, algebra._unit(k))
-                    rhs = self.kappa_form(algebra._unit(j), algebra.c[i][k])
-                    if not (lhs + rhs).is_zero():
-                        raise ValueError(
-                            f"kappa is not invariant at basis triple ({i}, {j}, {k})"
-                        )
+        # (K ad_i)[j][k] is kappa(e_j, [e_i, e_k]), so entry (j, k) plus
+        # entry (k, j) is kappa([e_i, e_j], e_k) + kappa(e_j, [e_i, e_k])
+        for i, A in enumerate(algebra.ads):
+            M = mat_mul(K, A)
+            for j, k in itertools.product(range(n), repeat=2):
+                if M[j][k] != -M[k][j]:
+                    raise ValueError(
+                        f"kappa is not invariant at basis triple ({i}, {j}, {k})"
+                    )
 
         if cartan is not None and cartan.rank == 0:
             cartan = None
@@ -237,17 +219,7 @@ class SymmetricPair:
             _validate_cartan(self, cartan)
 
     def kappa_form(self, x, y):
-        x = _vec(x)
-        y = _vec(y)
-        acc = Qi(0)
-        for i, xi in enumerate(x):
-            if xi.is_zero():
-                continue
-            row = self.kappa[i]
-            for j, yj in enumerate(y):
-                if not yj.is_zero():
-                    acc = acc + xi * row[j] * yj
-        return acc
+        return _dot(None, _vec(x), mat_vec(self.kappa, _vec(y)))
 
     def gram(self, vectors):
         return [[self.kappa_form(v, w) for w in vectors] for v in vectors]
@@ -285,6 +257,14 @@ def _validate_cartan(pair, cart):
         )
 
 
+def _from_q(pair, coords):
+    """The g-vector with the given coordinates on the q basis."""
+    v = [Qi(0)] * pair.algebra.dim
+    for c, j in zip(coords, pair.q_basis):
+        v[j] = c
+    return v
+
+
 def centralizer_in_q(pair, a_point):
     """Split q = q_a + m at a semisimple point: the ad-kernel and its
     kappa-orthocomplement, both returned as lists of exact g-vectors.
@@ -292,32 +272,16 @@ def centralizer_in_q(pair, a_point):
     A point whose ad has eigenspaces that do not fill g is refused with a
     ValueError, and one whose ad spectrum leaves Q(i) with SpectrumError."""
     a_point = _vec(a_point)
-    alg = pair.algebra
-    n = alg.dim
-    A = alg.ad(a_point)
+    A = pair.algebra.ad(a_point)
     if joint_eigenspaces([A])[1] is not None:
         raise ValueError(
             "a_point is not semisimple: the eigenspaces of its ad do not fill g"
         )
     qb = pair.q_basis
-    M = [[A[r][j] for j in qb] for r in range(n)]
-    q_a = []
-    for u in kernel_basis(M):
-        v = [Qi(0)] * n
-        for c, j in zip(u, qb):
-            v[j] = c
-        q_a.append(v)
-    # m = kappa-orthocomplement of q_a inside q
-    rows = []
-    for z in q_a:
-        rows.append([pair.kappa_form(z, alg._unit(j)) for j in qb])
-    m = []
-    if rows:
-        for u in kernel_basis(rows):
-            v = [Qi(0)] * n
-            for c, j in zip(u, qb):
-                v[j] = c
-            m.append(v)
+    q_a = [_from_q(pair, u) for u in kernel_basis([[row[j] for j in qb] for row in A])]
+    # m = kappa-orthocomplement of q_a inside q: the rows K z on q
+    rows = [[Kz[j] for j in qb] for Kz in (mat_vec(pair.kappa, z) for z in q_a)]
+    m = [_from_q(pair, u) for u in kernel_basis(rows)]
     if not mat_rank(q_a + m) == len(q_a) + len(m) == len(qb):
         raise CertificationError(
             "centralizer_split",
@@ -335,13 +299,13 @@ def _commutator(x, y):
     ]
 
 
+def _flat(m):
+    return [x for row in m for x in row]
+
+
 def _trace_prod(x, y):
-    n = len(x)
-    acc = Qi(0)
-    for i in range(n):
-        for j in range(n):
-            acc = acc + x[i][j] * y[j][i]
-    return acc
+    """tr(x y): one dot of x with y transposed, both flattened."""
+    return _dot(None, _flat(x), _flat(zip(*y)))
 
 
 def _pair_from_matrices(name, h_mats, q_mats, cartan_coords):
@@ -351,20 +315,16 @@ def _pair_from_matrices(name, h_mats, q_mats, cartan_coords):
     dim = len(mats)
     size = len(mats[0])
     nn = size * size
-
-    def flat(m):
-        return [x for row in m for x in row]
-
     # each basis matrix flattened and tagged with e_k in one span, so a
     # commutator reduces to its flattened remainder followed by minus its
     # coordinates in the basis (as matrix_min_poly reduces its powers)
     span = LinearSpan(nn + dim)
     for k, m in enumerate(mats):
-        span.add(flat(m) + [Qi(1) if t == k else Qi(0) for t in range(dim)])
+        span.add(_flat(m) + [Qi(1) if t == k else Qi(0) for t in range(dim)])
     structure = [[[Qi(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            v = span.reduce(flat(_commutator(mats[i], mats[j])) + [Qi(0)] * dim)
+            v = span.reduce(_flat(_commutator(mats[i], mats[j])) + [Qi(0)] * dim)
             if any(not x.is_zero() for x in v[:nn]):
                 raise CertificationError(
                     "brackets_closed", {"pair": name, "basis_pair": [i, j]}

@@ -16,6 +16,7 @@ from .exactalg import (
     MultiPoly,
     Qi,
     SpectrumError,  # callers catch it from here
+    _dot,
     joint_eigenspaces,
     kernel_basis,
     linear_combination,
@@ -246,7 +247,7 @@ def weyl_group(roots, kappa_on_a, kappa_inverse=None):
     for r in root_list:
         alpha = _vec(r.functional)
         t_alpha = mat_vec(kinv, alpha)
-        norm = sum((a * t for a, t in zip(alpha, t_alpha)), Qi(0))
+        norm = _dot(None, alpha, t_alpha)
         if norm.is_zero():
             raise ValueError("isotropic root; reflection undefined")
         two_over = Qi(2) / norm
@@ -291,11 +292,7 @@ def local_subsystem(system, weyl, a_point):
     induced split a = b + c into the root span and the fixed space."""
     pt = _vec(a_point)
     dim = weyl.dim
-    roots_a = [
-        r
-        for r in system.roots
-        if sum((f * x for f, x in zip(r.functional, pt)), Qi(0)).is_zero()
-    ]
+    roots_a = [r for r in system.roots if _dot(None, r.functional, pt).is_zero()]
     kinv = weyl.kappa_inverse
     W_a = weyl_group(roots_a, weyl.kappa_on_a, kinv)
     # W_a is the closure of its generators, so checking them covers W_a

@@ -67,6 +67,40 @@ def sl3_weyl_matrices_by_weight_permutations():
     return out
 
 
+def raw_bracket(c, x, y):
+    """[x, y] summed product by product from the structure constants
+    c[i][j][k], with no matrix or dot-product helper."""
+    n = len(c)
+    out = [Qi(0)] * n
+    for i in range(n):
+        for j in range(n):
+            if x[i].is_zero() or y[j].is_zero():
+                continue
+            for k in range(n):
+                out[k] = out[k] + x[i] * y[j] * c[i][j][k]
+    return out
+
+
+def raw_form(K, x, y):
+    """x^T K y summed product by product."""
+    acc = Qi(0)
+    for i, row in enumerate(K):
+        for j, v in enumerate(row):
+            acc = acc + x[i] * v * y[j]
+    return acc
+
+
+def raw_mat_vec(A, v):
+    """A v summed product by product."""
+    out = []
+    for row in A:
+        acc = Qi(0)
+        for a, b in zip(row, v):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
 def matrix_key(m):
     return tuple(tuple(x for x in row) for row in m)
 
@@ -159,7 +193,9 @@ def count_calls(monkeypatch, name):
 
     A function is wrapped wherever a module of the package binds it; a
     dotted name such as `MultiPoly.compose_linear` wraps the method on
-    its class, and the size is that of its matrix argument.
+    its class, and the size is that of its matrix argument (1 for an
+    argument without a length, such as the operand of
+    `GaussianRational.__mul__`).
     """
     owner_name, _, attr = name.rpartition(".")
     owner = getattr(exactalg, owner_name) if owner_name else exactalg
@@ -167,7 +203,7 @@ def count_calls(monkeypatch, name):
     calls = []
 
     def counted(*args):
-        calls.append(len(args[-1]))
+        calls.append(len(args[-1]) if hasattr(args[-1], "__len__") else 1)
         return original(*args)
 
     if owner_name:

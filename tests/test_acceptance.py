@@ -15,6 +15,9 @@ from _oracles import (
     average_poly,
     matrix_key,
     rand_poly,
+    raw_bracket,
+    raw_form,
+    raw_mat_vec,
     sl3_weyl_matrices_by_weight_permutations,
     weighted_partition_count,
 )
@@ -117,34 +120,44 @@ def _derivation_stream(name, count=25, degree=4):
 
 
 def test_01_structural_validation():
+    # brackets, forms and sigma images come from the raw oracles, not from
+    # the ad matrices and dot products that validated the pair
     for pair in catalog():
         g = pair.algebra
         n = g.dim
         units = [_unit(n, i) for i in range(n)]
+
+        def br(x, y):
+            return raw_bracket(g.c, x, y)
+
+        def form(x, y):
+            return raw_form(pair.kappa, x, y)
+
+        def sigma(v):
+            return raw_mat_vec(pair.sigma, v)
+
         # Jacobi on all basis triples
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s = g.bracket(g.bracket(units[i], units[j]), units[k])
-                    t = g.bracket(g.bracket(units[j], units[k]), units[i])
-                    u = g.bracket(g.bracket(units[k], units[i]), units[j])
+                    s = br(br(units[i], units[j]), units[k])
+                    t = br(br(units[j], units[k]), units[i])
+                    u = br(br(units[k], units[i]), units[j])
                     assert all(
                         (a + b + c).is_zero() for a, b, c in zip(s, t, u)
                     ), (pair.name, i, j, k)
         # sigma is an automorphism
         for i in range(n):
             for j in range(n):
-                lhs = mat_vec(pair.sigma, g.c[i][j])
-                rhs = g.bracket(
-                    mat_vec(pair.sigma, units[i]), mat_vec(pair.sigma, units[j])
-                )
+                lhs = sigma(g.c[i][j])
+                rhs = br(sigma(units[i]), sigma(units[j]))
                 assert lhs == rhs, (pair.name, i, j)
         # kappa is invariant: k([x,y],z) + k(y,[x,z]) = 0
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    s = pair.kappa_form(g.c[i][j], units[k])
-                    s = s + pair.kappa_form(units[j], g.c[i][k])
+                    s = form(g.c[i][j], units[k])
+                    s = s + form(units[j], g.c[i][k])
                     assert s.is_zero(), (pair.name, i, j, k)
         # bracket grading over the eigenspace split
         h_set = set(pair.h_basis)

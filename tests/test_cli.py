@@ -330,6 +330,29 @@ def test_pair_file_unsupported_spectrum(capsys, tmp_path):
     assert "unsupported" in report["error"]["message"]
 
 
+# one malformed pair document per structural diagnostic of `load_pair`,
+# under tests/fixtures/malformed/, and the message each must exit with
+MALFORMED_PAIRS = {
+    "broken-jacobi": "Jacobi identity fails at basis triple (0, 1, 2)",
+    "noninvariant-kappa": "kappa is not invariant at basis triple (0, 1, 2)",
+    "not-sigma-adapted": (
+        "basis vector 1 is not a sigma eigenvector; the basis must be sigma-adapted"
+    ),
+    "dependent-cartan": "Cartan basis is linearly dependent",
+    "sigma-shape": "sigma matrix has the wrong shape",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAIRS))
+def test_malformed_pair_file_corpus(name, capsys):
+    path = Path(__file__).parent / "fixtures" / "malformed" / f"{name}.json"
+    code = cli.main(["roots", "--pair-file", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert json.loads(out)["error"] == {"code": "input", "message": MALFORMED_PAIRS[name]}
+    assert "Traceback" not in err
+
+
 def test_malformed_inputs_are_input_errors(capsys, tmp_path):
     for argv in (
         ["lift", "--pair", "sl2-so2", "--derivation", "not json"],

@@ -1,7 +1,9 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from _oracles import count_calls
 
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, mat_det, mat_vec
@@ -40,6 +42,11 @@ def _unit(dim, i, scale=1):
     v = [Qi(0)] * dim
     v[i] = Qi(scale)
     return v
+
+
+def _whole(message):
+    """A `pytest.raises` pattern matching exactly this message."""
+    return f"^{re.escape(message)}$"
 
 
 def _rand_vec(rng, dim):
@@ -208,7 +215,9 @@ def test_load_pair_diagnostics_are_distinct():
         "sigma": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
         "cartan": [],
     }
-    with pytest.raises(ValueError, match="Jacobi"):
+    with pytest.raises(
+        ValueError, match=_whole("Jacobi identity fails at basis triple (0, 1, 2)")
+    ):
         load_pair(bad)
 
     with pytest.raises(ValueError, match="automorphism"):
@@ -236,6 +245,15 @@ def test_load_pair_diagnostics_are_distinct():
     with pytest.raises(ValueError, match="not sigma-invariant"):
         load_pair(
             _sl2_definition(kappa=[["0", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]])
+        )
+
+    # symmetric, nondegenerate on g and on q and sigma-invariant, but
+    # kappa([e, r], f) + kappa(r, [e, f]) = 2 + 4
+    with pytest.raises(
+        ValueError, match=_whole("kappa is not invariant at basis triple (1, 0, 2)")
+    ):
+        load_pair(
+            _sl2_definition(kappa=[["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
         )
 
     with pytest.raises(ValueError):
@@ -341,3 +359,13 @@ def test_random_regular_point_centralizer_is_cartan():
             coords = [Qi(rng.randint(1, 9)) for _ in range(cart.rank)]
             q_a, _ = centralizer_in_q(pair, cart.embed(coords))
             assert _same_span(q_a, cart.basis, n)
+
+
+def test_building_a_pair_calls_no_scalar_multiplication(monkeypatch):
+    # every Q(i) sum of products behind a pair goes through the one dot
+    # kernel, which multiplies on integer numerators
+    products = count_calls(monkeypatch, "GaussianRational.__mul__")
+    reflected = count_calls(monkeypatch, "GaussianRational.__rmul__")
+    pair = catalog_pair.__wrapped__("sl3-so21")
+    assert pair.algebra.dim == 8 and pair.cartan.rank == 2
+    assert (len(products), len(reflected)) == (0, 0)

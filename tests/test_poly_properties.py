@@ -3,7 +3,9 @@ round-trip through their rendering, obey the field axioms against a
 Fraction-pair oracle and keep one canonical integer triple per value;
 polynomial rendering round-trips through the parser, single-divisor
 division reassembles its input, and the Q(i) root search finds exactly
-the rational roots of polynomials built from them. The fused
+the rational roots of polynomials built from them. The scalar dot
+product under `mat_mul` and `mat_vec` matches a term-by-term sum of
+Fraction pairs, the fused
 `linear_combination` matches a term-by-term Q(i) sum, the binomial
 `shift` matches composition with x + a, and the jet products and the
 Reynolds field match the accumulation loops they replace."""
@@ -18,8 +20,11 @@ from hypothesis import strategies as st
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
     MultiPoly,
+    _dot,
     gaussian_rational_roots,
     linear_combination,
+    mat_mul,
+    mat_vec,
     parse_scalar,
     render_scalar,
 )
@@ -97,6 +102,70 @@ def test_scalar_canonical_triple(x, y, k):
     assert (same._a, same._b, same._d) == (x._a, x._b, x._d)
     assert same == x and hash(same) == hash(x)
     assert Qi(x.real, x.imag) == x and hash(Qi(x.real, x.imag)) == hash(x)
+
+
+# entries with zero, purely real and purely imaginary values among them
+_entry_parts = st.one_of(st.just(0), _wide_parts)
+_entries = st.builds(Qi, _entry_parts, _entry_parts)
+
+
+def _oracle_dot(xs, ys):
+    acc = (Fraction(0), Fraction(0))
+    for x, y in zip(xs, ys):
+        acc = _oracle_add(acc, _oracle_mul(_pair(x), _pair(y)))
+    return acc
+
+
+def _canonical(x, pair):
+    """x has the value `pair` and the triple that value's constructor makes."""
+    ref = Qi(*pair)
+    return _pair(x) == pair and (x._a, x._b, x._d) == (ref._a, ref._b, ref._d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(_entries, min_size=n, max_size=n),
+            st.lists(_entries, min_size=n, max_size=n),
+        )
+    )
+)
+def test_scalar_dot_matches_termwise_sum(case):
+    xs, ys = case
+    assert _canonical(_dot(None, xs, ys), _oracle_dot(xs, ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.lists(_entries, min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0],
+                max_size=shape[0],
+            ),
+            st.lists(
+                st.lists(_entries, min_size=shape[2], max_size=shape[2]),
+                min_size=shape[1],
+                max_size=shape[1],
+            ),
+            st.lists(_entries, min_size=shape[1], max_size=shape[1]),
+        )
+    )
+)
+def test_matrix_products_match_termwise_sums(case):
+    A, B, v = case
+    Av = mat_vec(A, v)
+    assert len(Av) == len(A)
+    for row, x in zip(A, Av):
+        assert _canonical(x, _oracle_dot(row, v))
+    if B:
+        AB = mat_mul(A, B)
+        assert [len(r) for r in AB] == [len(B[0])] * len(A)
+        for row, out in zip(A, AB):
+            for col, x in zip(zip(*B), out):
+                assert _canonical(x, _oracle_dot(row, col))
 
 
 @st.composite
