@@ -229,25 +229,24 @@ def _random_invariant_field(rng, weyl, max_deg):
     return reynolds_field(weyl, PolyVectorField(comps))
 
 
+def _regular_point(chart):
+    """The first point (k, k^2, ...) with phi nonzero for k < 40, else the
+    origin."""
+    n = chart.weyl.dim
+    for k in range(1, 40):
+        cand = [Qi(k ** (j + 1)) for j in range(n)]
+        if not chart.phi.evaluate(cand).is_zero():
+            return cand
+    return [Qi(0)] * n
+
+
 def _slice_points(chart, name):
     table = _SLICE_POINTS.get(name)
     n = chart.weyl.dim
     if table is not None and all(len(p) == n for p in table):
         return [[Qi(v) for v in pt] for pt in table]
-    points = [[Qi(0)] * n]
-    for k in range(1, 40):
-        cand = [Qi(k ** (j + 1)) for j in range(n)]
-        if not chart.phi.evaluate(cand).is_zero():
-            points.append(cand)
-            break
-    return points
-
-
-def _regular_point(chart, points):
-    for pt in reversed(points):
-        if not chart.phi.evaluate(pt).is_zero():
-            return pt
-    return points[0]
+    origin, regular = [Qi(0)] * n, _regular_point(chart)
+    return [origin] if regular == origin else [origin, regular]
 
 
 # ------------------------------------------------------------------- checks
@@ -262,7 +261,7 @@ def _slice(chart, point):
 def _jet_checks(chart, rng, samples, action_samples):
     n = chart.weyl.dim
     K, Kinv = chart.kappa_on_a, chart.weyl.kappa_inverse
-    base = _regular_point(chart, _slice_points(chart, ""))
+    base = _regular_point(chart)
     N = default_truncation(chart)
     checks = []
 

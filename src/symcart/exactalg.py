@@ -13,10 +13,11 @@ Every sum of polynomial products goes through one kernel,
 numerators over one common denominator and normalises once. Its callers
 are `MultiPoly.__mul__` and `compose`, the polynomial `mat_mul`,
 `mat_vec` and Bareiss update in `mat_det`, `WeylGroup.act`,
-`invariants.reynolds`, and in `vecfields` the field action `apply_to`,
-the pushed and averaged fields, `jet_mul`, `jet_invert` and
-`Jet.polynomial`. `MultiPoly.shift` expands (x + a)^k binomially on the
-same integer numerators.
+`invariants.reynolds`, and in `vecfields` the field action `apply_to`
+(the jet gradient action included), the pushed and averaged fields,
+`jet_mul` and `jet_invert`. `MultiPoly.shift`, behind `jet_of` and
+`Jet.polynomial`, expands (x + a)^k binomially on the same integer
+numerators.
 
 Every sum of Q(i) products goes through its scalar twin, `_dot`, in the
 same way: the Q(i) `mat_mul` and `mat_vec`, the Bareiss update of a
@@ -27,7 +28,7 @@ kernel, inverse and rank), `MultiPoly.evaluate`, and in `liesym` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
 from operator import add
@@ -102,12 +103,6 @@ class GaussianRational:
             return _qi(self._a - o._a, self._b - o._b, d)
         return _qi(self._a * e - o._a * d, self._b * e - o._b * d, d * e)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -128,12 +123,6 @@ class GaussianRational:
         # (a + b i)/d divided by (c + e i)/f is (a + b i)(c - e i) f / (d n)
         f = o._d
         return _qi((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __neg__(self):
         return _qi(-self._a, -self._b, self._d)
@@ -736,11 +725,8 @@ def det_adjugate(M):
     return det, adj
 
 
-@dataclass
-class LinearSolution:
-    rank: int
-    particular: list | None
-    kernel: list
+# particular is None when the system is inconsistent
+LinearSolution = namedtuple("LinearSolution", "rank particular kernel")
 
 
 def _rref(rows, length):

@@ -8,7 +8,7 @@ leaves Q(i) is refused rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .exactalg import (
     CertificationError,
@@ -43,18 +43,10 @@ def _key(v):
 MAX_WEYL_ELEMENTS = 1152
 
 
-@dataclass
-class RestrictedRoot:
-    functional: list
-    multiplicity: int
-    is_reduced: bool = True
-
-
-@dataclass
-class RestrictedRootSystem:
-    roots: list
-    rank: int
-    zero_dim: int
+RestrictedRoot = namedtuple(
+    "RestrictedRoot", "functional multiplicity is_reduced", defaults=(True,)
+)
+RestrictedRootSystem = namedtuple("RestrictedRootSystem", "roots rank zero_dim")
 
 
 class WeylGroup:

@@ -3,10 +3,12 @@
 Covers the decomposition of invariant fields over the chart gradients,
 ideal stability and Cramer lifting of derivations given by generator
 images, the transition matrix between a global chart and a local one,
-and a truncated graded jet algebra with the gradient action.
+and jets: a jet of order N at a base point a is one polynomial of
+degree at most N in u = x - a, with products, inverses and the
+gradient action truncated by degree.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactalg import (
@@ -44,9 +46,6 @@ class PolyVectorField:
     def zero(n):
         return PolyVectorField([MultiPoly.zero(n) for _ in range(n)])
 
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
     def apply_to(self, f):
         """Directional derivative of f along the field."""
         return linear_combination(
@@ -60,14 +59,6 @@ class PolyVectorField:
         return PolyVectorField(
             [a + b for a, b in zip(self.components, other.components)]
         )
-
-    def __sub__(self, other):
-        return PolyVectorField(
-            [a - b for a, b in zip(self.components, other.components)]
-        )
-
-    def __neg__(self):
-        return PolyVectorField([-c for c in self.components])
 
     def __mul__(self, other):
         # scalar or polynomial factor, applied componentwise
@@ -100,13 +91,8 @@ class InvariantDerivation:
         self.weyl = weyl
 
 
-@dataclass
-class NotLiftable:
-    """Witness that the adjugate system has a non-divisible entry."""
-
-    index: int
-    psi: MultiPoly
-    remainder: MultiPoly
+# witness that the adjugate system has a non-divisible entry
+NotLiftable = namedtuple("NotLiftable", "index psi remainder")
 
 
 def _push(weyl, i, X):
@@ -282,29 +268,19 @@ def transition_matrix(chart, local):
 
 
 class Jet:
-    """Truncated series at a base point; component k is homogeneous of
-    degree k in the shifted variable x - base_point."""
+    """Truncated series at a base point: `poly` is a polynomial of degree
+    at most `truncation_order` in the shifted variable x - base_point."""
 
-    def __init__(self, base_point, truncation_order, components):
-        if truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(components) != truncation_order + 1:
-            raise ValueError("one component per degree up to truncation")
-        for k, p in enumerate(components):
-            if not p.is_zero() and not (p.is_homogeneous() and p.degree() == k):
-                raise ValueError(
-                    "jet component %d is not homogeneous of its index degree"
-                    % k
-                )
+    def __init__(self, base_point, truncation_order, poly):
+        if poly.degree() > truncation_order:
+            raise ValueError("jet has a term above its truncation order")
         self.base_point = [Qi._coerce(x) for x in base_point]
         self.truncation_order = truncation_order
-        self.components = list(components)
+        self.poly = poly
 
     def polynomial(self):
-        """Sum of the components, written back in the ambient variable."""
-        n = self.components[0].num_vars
-        acc = linear_combination(n, [(QI_ONE, p) for p in self.components])
-        return acc.shift([-x for x in self.base_point])
+        """The jet written back in the ambient variable."""
+        return self.poly.shift([-x for x in self.base_point])
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -312,31 +288,32 @@ class Jet:
         return (
             self.base_point == other.base_point
             and self.truncation_order == other.truncation_order
-            and self.components == other.components
+            and self.poly == other.poly
         )
 
     def __repr__(self):
         return "Jet(base=%r, N=%d, %r)" % (
             self.base_point,
             self.truncation_order,
-            self.components,
+            self.poly,
         )
+
+
+def _truncate(p, N):
+    """The terms of p of total degree at most N."""
+    if p.degree() <= N:
+        return p
+    return MultiPoly(p.num_vars, {e: c for e, c in p.terms.items() if sum(e) <= N})
 
 
 def jet_of(f, a_point, N):
     """Exact re-expansion of f around a_point, truncated at order N."""
     pt = [Qi._coerce(x) for x in a_point]
-    g = f.shift(pt)
-    parts = g.homogeneous_components()
-    zero = MultiPoly.zero(f.num_vars)
-    comps = [parts.get(k, zero) for k in range(N + 1)]
-    return Jet(pt, N, comps)
+    return Jet(pt, N, _truncate(f.shift(pt), N))
 
 
 def jet_unit(a_point, N, num_vars):
-    comps = [MultiPoly.one(num_vars)]
-    comps.extend(MultiPoly.zero(num_vars) for _ in range(N))
-    return Jet(a_point, N, comps)
+    return Jet(a_point, N, MultiPoly.one(num_vars))
 
 
 def _check_compatible(J1, J2):
@@ -347,43 +324,44 @@ def _check_compatible(J1, J2):
 
 
 def jet_mul(J1, J2):
-    """Graded convolution product."""
+    """Truncated product: one sum over the pairs of homogeneous parts
+    whose degrees add up to at most the truncation order."""
     _check_compatible(J1, J2)
     N = J1.truncation_order
-    n = J1.components[0].num_vars
-    a, b = J1.components, J2.components
-    comps = [
-        linear_combination(n, [(a[j], b[k - j]) for j in range(k + 1)])
-        for k in range(N + 1)
-    ]
-    return Jet(J1.base_point, N, comps)
+    a = J1.poly.homogeneous_components()
+    b = J2.poly.homogeneous_components()
+    pairs = [(p, q) for i, p in a.items() for j, q in b.items() if i + j <= N]
+    return Jet(J1.base_point, N, linear_combination(J1.poly.num_vars, pairs))
 
 
 def jet_invert(J):
     """Multiplicative inverse up to truncation; needs a nonzero constant
     term."""
-    c = J.components[0].constant_term()
+    c = J.poly.constant_term()
     if c.is_zero():
         raise ValueError("jet is not invertible: constant term vanishes")
-    n = J.components[0].num_vars
+    n = J.poly.num_vars
     cinv = Qi(1) / c
     # out_k = -(1/c) sum_{j >= 1} J_j out_{k-j}, with -1/c folded in once
-    scaled = [p * -cinv for p in J.components]
+    scaled = (J.poly * -cinv).homogeneous_components()
     out = [MultiPoly.constant(n, cinv)]
     for k in range(1, J.truncation_order + 1):
         out.append(
-            linear_combination(n, [(scaled[j], out[k - j]) for j in range(1, k + 1)])
+            linear_combination(
+                n, [(p, out[k - j]) for j, p in scaled.items() if 1 <= j <= k]
+            )
         )
-    return Jet(J.base_point, J.truncation_order, out)
+    total = linear_combination(n, [(QI_ONE, p) for p in out])
+    return Jet(J.base_point, J.truncation_order, total)
 
 
 def jet_gradient_action(R, J, kappa, kappa_inverse=None):
-    """Action of the gradient field of R on a jet, slot by slot.
+    """Action of the gradient field of R on a jet.
 
-    R must be homogeneous of degree d >= 1 in x - base_point; output
-    slot k receives grad(R) applied to input slot k - d + 2 and the
-    truncation drops to N + d - 2 when d = 1. `kappa_inverse` is passed
-    on to `gradient`.
+    R must be homogeneous of degree d >= 1 in x - base_point, so grad(R)
+    sends degree m to degree m + d - 2: the constants go to zero and the
+    truncation drops to N - 1 when d = 1. `kappa_inverse` is passed on
+    to `gradient`.
     """
     Ru = R.shift(J.base_point)
     if Ru.is_zero() or not Ru.is_homogeneous():
@@ -391,19 +369,12 @@ def jet_gradient_action(R, J, kappa, kappa_inverse=None):
     d = Ru.degree()
     if d < 1:
         raise ValueError("R must have positive degree")
-    grad = gradient(Ru, kappa, kappa_inverse)
     N = J.truncation_order
     n_out = min(N, N + d - 2)
     if n_out < 0:
         raise ValueError("truncation order too small for the action")
-    n = Ru.num_vars
-    comps = []
-    for k in range(n_out + 1):
-        if k < d - 1:
-            comps.append(MultiPoly.zero(n))
-            continue
-        comps.append(grad.apply_to(J.components[k - d + 2]))
-    return Jet(J.base_point, n_out, comps)
+    grad = gradient(Ru, kappa, kappa_inverse)
+    return Jet(J.base_point, n_out, _truncate(grad.apply_to(J.poly), n_out))
 
 
 def default_truncation(chart):

@@ -572,7 +572,10 @@ def test_certification_failure_is_reported(name, capsys, monkeypatch):
     _check_failure_report(proc.returncode, json.loads(proc.stdout), name, witness)
 
 
-def test_every_certification_has_one_raise_site():
+def _certification_sites():
+    """{check name: ["file:line"]} of every `raise CertificationError`
+    in the package; no check may be an assert or a bare AssertionError
+    or RuntimeError."""
     sites = {}
     for path in sorted(Path(symcart.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -587,6 +590,11 @@ def test_every_certification_has_one_raise_site():
                 name = node.exc.args[0]
                 assert isinstance(name, ast.Constant), where
                 sites.setdefault(name.value, []).append(where)
+    return sites
+
+
+def test_every_certification_has_one_raise_site():
+    sites = _certification_sites()
     assert {n: w for n, w in sites.items() if len(w) != 1} == {}
     # every check the CLI renders as certified has its library site
     assert {
@@ -607,3 +615,59 @@ def test_every_certification_has_one_raise_site():
     assert sites["adjugate_identity"][0].startswith("invariants.py:")
     # every chart, global or local, certifies its Jacobian where it is built
     assert sites["jacobian_nonzero"][0].startswith("invariants.py:")
+
+
+# checks the CLI renders as certified under a name other than that of the
+# raise site certifying them; structure_valid is the ValueErrors that
+# SymmetricPair raises on a bad structure
+CERTIFIED_ALIASES = {
+    "solomon_roundtrip": "reconstruction_exact",
+    "slice_factorization": "factorization_exact",
+    "transition_invertible": "transition_det_nonzero",
+    "transition_reconstructs": "reconstruction_exact",
+    "structure_valid": None,
+}
+
+
+def test_every_certified_check_has_a_raise_site():
+    certified = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_certified":
+            assert all(isinstance(a, ast.Constant) for a in node.args), node.lineno
+            certified.extend(a.value for a in node.args)
+    assert set(CERTIFIED_ALIASES) <= set(certified)
+    sites = _certification_sites()
+    for name in certified:
+        target = CERTIFIED_ALIASES.get(name, name)
+        assert target is None or target in sites, name
+
+    liesym_path = Path(symcart.__file__).parent / "liesym.py"
+    tree = ast.parse(liesym_path.read_text())
+    pair_class = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SymmetricPair"
+    )
+    raised = [
+        getattr(getattr(n.exc, "func", None), "id", None)
+        for n in ast.walk(pair_class)
+        if isinstance(n, ast.Raise) and n.exc is not None
+    ]
+    assert "ValueError" in raised
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["verify", "--seed", "x"], "--seed"),
+        (["frobnicate"], "frobnicate"),
+        (["verify", "--frob"], "--frob"),
+        ([], "command"),
+    ],
+)
+def test_argument_errors_are_input_errors(argv, fragment, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "input"
+    assert fragment in error["message"]

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+import sys
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from symcart import exactalg
 from symcart.exactalg import (
     GaussianRational,
     LinearSpan,
@@ -351,3 +355,22 @@ def test_roots_diagonalizable_integer_spectrum():
     m = matrix_min_poly(A)
     roots, split = gaussian_rational_roots(m)
     assert split and set(roots) == {Qi(2), Qi(-2), Qi(0)}
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="3.12 tokenizes f-strings into parts"
+)
+def test_exactalg_stays_below_the_parser_token_doubling():
+    # CPython's parser holds a module's tokens in an array that doubles
+    # past 8192; `peak_rss_mb` of the in-process benchmark workloads
+    # peaks while exactalg.py is compiled from source, and a draft of
+    # 8213 tokens read construct +3.5% (24.8 -> 25.7 MB, bound 5%)
+    with open(Path(exactalg.__file__), encoding="utf-8") as f:
+        count = sum(
+            t.type not in (tokenize.COMMENT, tokenize.NL)
+            for t in tokenize.generate_tokens(f.readline)
+        )
+    assert count <= 8192, (
+        f"exactalg.py has {count} tokens: past 8192 the parser doubles its "
+        "token array and the compile peak grows by about 0.5 MB"
+    )

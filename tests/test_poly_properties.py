@@ -272,25 +272,33 @@ def test_shift_is_composition_with_a_translation(case):
     assert g.evaluate(x) == f.evaluate([u + v for u, v in zip(x, a)])
 
 
+def _slots(J):
+    n = J.poly.num_vars
+    parts = J.poly.homogeneous_components()
+    return [parts.get(k, MultiPoly.zero(n)) for k in range(J.truncation_order + 1)]
+
+
 def _old_jet_mul(J1, J2):
-    n = J1.components[0].num_vars
+    n = J1.poly.num_vars
+    a, b = _slots(J1), _slots(J2)
     comps = []
     for k in range(J1.truncation_order + 1):
         acc = MultiPoly.zero(n)
         for j in range(k + 1):
-            acc = acc + J1.components[j] * J2.components[k - j]
+            acc = acc + a[j] * b[k - j]
         comps.append(acc)
     return comps
 
 
 def _old_jet_invert(J):
-    n = J.components[0].num_vars
-    cinv = Qi(1) / J.components[0].constant_term()
+    n = J.poly.num_vars
+    a = _slots(J)
+    cinv = Qi(1) / a[0].constant_term()
     out = [MultiPoly.constant(n, cinv)]
     for k in range(1, J.truncation_order + 1):
         acc = MultiPoly.zero(n)
         for j in range(1, k + 1):
-            acc = acc + J.components[j] * out[k - j]
+            acc = acc + a[j] * out[k - j]
         out.append(acc * (-cinv))
     return out
 
@@ -309,9 +317,9 @@ def _old_jet_invert(J):
 def test_jet_products_match_the_accumulation_loops(case):
     f, g, base, N = case
     Jf, Jg = jet_of(f, base, N), jet_of(g, base, N)
-    assert jet_mul(Jf, Jg).components == _old_jet_mul(Jf, Jg)
+    assert _slots(jet_mul(Jf, Jg)) == _old_jet_mul(Jf, Jg)
     assume(not f.evaluate(base).is_zero())
-    assert jet_invert(Jf).components == _old_jet_invert(Jf)
+    assert _slots(jet_invert(Jf)) == _old_jet_invert(Jf)
 
 
 @functools.cache
