@@ -170,7 +170,7 @@ def _pair_from_args(args):
             raise InputError(f"cannot read pair file: {e}") from None
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad syntax, a long int, deep nesting
             raise InputError(f"pair file is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise InputError("pair file must hold a JSON object")
@@ -181,7 +181,7 @@ def _pair_from_args(args):
 def _parse_json_array(raw, what, expected_len):
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, a long int, deep nesting
         raise InputError(f"{what} is not valid JSON: {e}") from None
     if not isinstance(data, list):
         raise InputError(f"{what} must be a JSON array")
@@ -270,10 +270,10 @@ def _jet_checks(chart, rng, samples, action_samples):
     for k in range(samples):
         f = _random_poly(rng, n, 4)
         g = _random_poly(rng, n, 4)
-        if jet_of(f * g, base, N) != jet_mul(jet_of(f, base, N), jet_of(g, base, N)):
+        J = jet_of(f, base, N)
+        if jet_of(f * g, base, N) != jet_mul(J, jet_of(g, base, N)):
             hom_ok, hom_wit = False, {"sample": k, "f": f.render(), "g": g.render()}
             break
-        J = jet_of(f, base, N)
         if f.evaluate(base).is_zero():
             try:
                 jet_invert(J)

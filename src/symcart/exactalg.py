@@ -24,10 +24,20 @@ same way: the Q(i) `mat_mul` and `mat_vec`, the Bareiss update of a
 scalar `mat_det`, the row reductions of `LinearSpan` (so every solve,
 kernel, inverse and rank), `MultiPoly.evaluate`, and in `liesym` and
 `rootsys` every bracket, ad matrix, trace form and kappa value.
+
+All text input goes through one reader, `MultiPoly.parse`, on one token
+grammar (`_TOKEN`); `parse_scalar` reads a polynomial in no variables.
+A part is p, p/q, pi, p/qi or i, for decimal p and q > 0; a factor is a
+part, a parenthesised sum of signed parts, xN or xN^k; `*` joins factors
+and `+`/`-` separate terms, and sign runs may precede any factor.
+Whitespace may surround operators and parentheses, never split a
+literal. Each term is read into one exponent tuple and one integer
+coefficient, normalised once: no Fraction, no polynomial product.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
@@ -196,37 +206,14 @@ def render_matrix(m):
     return [render_vector(row) for row in m]
 
 
+# input tokens after optional whitespace: a part p, p/q, pi or p/qi (groups
+# 1-3), the unit i (4), xN or xN^k (5-6), or any other character (7)
+_TOKEN = re.compile(r"\s*(?:(\d+)(?:/(\d+))?(i?)|(i)|x(\d+)(?:\s*\^\s*(\d+))?|(\S))")
+
+
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse "p/q", "p/q+r/si", "i", "-2i" and friends."""
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    terms = []
-    start = 0
-    for k in range(1, len(s)):
-        if s[k] in "+-" and s[k - 1] not in "+-/":
-            terms.append(s[start:k])
-            start = k
-    terms.append(s[start:])
-    real = Fraction(0)
-    imag = Fraction(0)
-    for t in terms:
-        if not t or t in "+-":
-            raise ValueError(f"bad scalar {text!r}")
-        try:
-            if t.endswith("i"):
-                body = t[:-1]
-                if body in ("", "+"):
-                    imag += 1
-                elif body == "-":
-                    imag -= 1
-                else:
-                    imag += Fraction(body)
-            else:
-                real += Fraction(t)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar {text!r}") from None
-    return GaussianRational(real, imag)
+    """The scalar `text`, read as a polynomial in no variables."""
+    return MultiPoly.parse(text, 0).constant_term()
 
 
 # ------------------------------------------------------------------ polynomials
@@ -524,7 +511,56 @@ class MultiPoly:
 
     @staticmethod
     def parse(text: str, num_vars: int) -> "MultiPoly":
-        return _parse_poly(text, num_vars)
+        """The one input reader, on the grammar of the module docstring:
+        `want` says an operand comes next, `group` is the open
+        parenthesised sum and (a + b i)/d x^e the open term."""
+        terms = []
+        a, b, d, e = 1, 0, 1, [0] * num_vars
+        group = None
+        sign, want = 1, True
+        for p, q, im, unit, var, k, op in _TOKEN.findall(text):
+            if op and op in "+-":
+                if not want and group is None:
+                    terms.append((tuple(e), a, b, d))
+                    a, b, d, e = 1, 0, 1, [0] * num_vars
+                sign, want = -sign if op == "-" else sign, True
+                continue
+            if op == "*" and not want and group is None:
+                want = True
+                continue
+            if op == "(" and want and group is None:
+                a, b, sign, group = a * sign, b * sign, 1, (0, 0, 1)
+                continue
+            if op == ")" and not want and group:
+                (x, y, z), group = group, None
+            elif var and want and group is None:
+                if int(var) >= num_vars:
+                    raise ValueError(f"variable x{var} out of range")
+                e[int(var)] += int(k or 1)
+                x, y, z = sign, 0, 1
+            elif (p or unit) and want:
+                x, z = sign * int(p or 1), int(q or 1)
+                if not z:
+                    raise ValueError(f"zero denominator in scalar {text!r}")
+                x, y = (0, x) if im or unit else (x, 0)
+            else:
+                raise ValueError(f"cannot parse {text!r}")
+            if group:  # a part inside parentheses
+                u, v, w = group
+                group = (u * z + x * w, v * z + y * w, w * z)
+            else:
+                a, b, d = a * x - b * y, a * y + b * x, d * z
+            sign, want = 1, False
+        if want or group:
+            raise ValueError(f"cannot parse {text!r}" if text.strip() else "empty polynomial")
+        terms.append((tuple(e), a, b, d))
+        acc = {}
+        for e, a, b, d in terms:
+            if e in acc:
+                u, v, w = acc[e]
+                a, b, d = u * d + a * w, v * d + b * w, w * d
+            acc[e] = a, b, d
+        return _poly(num_vars, {e: _qi(*t) for e, t in acc.items()})
 
     def __repr__(self):
         return f"MultiPoly({self.num_vars}, {self.render()})"
@@ -609,85 +645,6 @@ def linear_combination(num_vars, pairs):
                     t[0] += x * u - y * v
                     t[1] += x * v + y * u
     return _poly_over(num_vars, acc, D)
-
-
-def _parse_poly(text: str, num_vars: int) -> MultiPoly:
-    """Parse sums of '*'-joined factors; factors are (scalar), bare scalars,
-    or xN / xN^k powers.  Accepts everything render() produces."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial")
-    # split into signed terms at top parenthesis level
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    k = 0
-    while k < len(s):
-        ch = s[k]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        if depth == 0 and ch in "+-" and cur.strip():
-            prev = cur.rstrip()[-1:]
-            if prev not in ("*", "^", "/"):
-                terms.append((sign, cur.strip()))
-                sign = 1 if ch == "+" else -1
-                cur = ""
-                k += 1
-                continue
-        if depth == 0 and ch in "+-" and not cur.strip():
-            sign = sign * (1 if ch == "+" else -1)
-            k += 1
-            continue
-        cur += ch
-        k += 1
-    if depth != 0:
-        raise ValueError("unbalanced parentheses")
-    if cur.strip():
-        terms.append((sign, cur.strip()))
-    if not terms:
-        raise ValueError(f"cannot parse polynomial {text!r}")
-
-    acc = MultiPoly.zero(num_vars)
-    for sgn, body in terms:
-        factors = []
-        depth = 0
-        cur = ""
-        for ch in body:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "*" and depth == 0:
-                factors.append(cur.strip())
-                cur = ""
-            else:
-                cur += ch
-        if cur.strip():
-            factors.append(cur.strip())
-        poly = MultiPoly.constant(num_vars, Qi(sgn))
-        for f in factors:
-            if not f:
-                raise ValueError(f"cannot parse term {body!r}")
-            if f.startswith("("):
-                if not f.endswith(")"):
-                    raise ValueError(f"cannot parse factor {f!r}")
-                poly = poly * MultiPoly.constant(num_vars, parse_scalar(f[1:-1]))
-            elif f[0] == "x":
-                var, _, exp = f.partition("^")
-                idx = int(var[1:])
-                if idx >= num_vars:
-                    raise ValueError(f"variable {var} out of range")
-                k = int(exp) if exp else 1
-                poly = poly * MultiPoly.variable(num_vars, idx) ** k
-            else:
-                poly = poly * MultiPoly.constant(num_vars, parse_scalar(f))
-        acc = acc + poly
-    return acc
 
 
 def poly_divides(f: MultiPoly, p: MultiPoly):

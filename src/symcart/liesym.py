@@ -27,6 +27,7 @@ from .exactalg import (
     LinearSpan,
     Qi,
     _dot,
+    _qi,
     joint_eigenspaces,
     kernel_basis,
     mat_det,
@@ -40,14 +41,15 @@ from .exactalg import (
 
 
 def _scalar(x):
+    """A Q(i) scalar, an int or a string in the input grammar; anything
+    else (a float, a bool, null) is refused."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, str):
         return parse_scalar(x)
-    try:
-        return GaussianRational(x)
-    except (TypeError, OverflowError):
-        raise ValueError(f"not a scalar: {x!r}") from None
+    if isinstance(x, int) and not isinstance(x, bool):
+        return _qi(x, 0, 1)
+    raise ValueError(f"not a scalar: {x!r}")
 
 
 def _vec(v):

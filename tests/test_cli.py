@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,21 @@ def test_verify_inverts_each_form_once_per_group(capsys, monkeypatch):
     assert 0 < len(forms) <= len(groups)
 
 
+def test_verify_expands_each_jet_once(capsys, monkeypatch):
+    # the homomorphism sample reuses the jet of f in its product check
+    expanded = Counter()
+    jet_of = cli.jet_of
+
+    def counted(f, base, N):
+        expanded[f.render(), N] += 1
+        return jet_of(f, base, N)
+
+    monkeypatch.setattr(cli, "jet_of", counted)
+    code, _ = run(["verify", "--pair", "sl3-so21"], capsys)
+    assert code == 0
+    assert expanded and max(expanded.values()) == 1
+
+
 def test_unknown_pair_is_input_error(capsys):
     code, report = run_json(["phi", "--pair", "nope"], capsys)
     assert code == 3
@@ -340,6 +356,8 @@ MALFORMED_PAIRS = {
     ),
     "dependent-cartan": "Cartan basis is linearly dependent",
     "sigma-shape": "sigma matrix has the wrong shape",
+    # a JSON float would read as its binary expansion, not as 1/10
+    "float-kappa": "not a scalar: 0.1",
 }
 
 
@@ -351,6 +369,32 @@ def test_malformed_pair_file_corpus(name, capsys):
     assert code == 3
     assert json.loads(out)["error"] == {"code": "input", "message": MALFORMED_PAIRS[name]}
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["long-int", "deep"])
+def test_json_the_decoder_refuses_is_input_error(kind, capsys, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal past the interpreter's digit limit, and a
+    # RecursionError for arrays nested past the recursion limit
+    if kind == "long-int":
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("no integer digit limit")
+        value = "1" * (limit + 1)
+    else:
+        depth = sys.getrecursionlimit() + 100
+        value = "[" * depth + "]" * depth
+    doc = tmp_path / "undecodable.json"
+    doc.write_text(f'{{"dim": {value}}}')
+    for argv in (
+        ["roots", "--pair-file", str(doc)],
+        ["decompose", "--pair", "sl2-so2", "--field", f"[{value}]"],
+    ):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 3, argv[0]
+        assert "not valid JSON" in json.loads(out)["error"]["message"]
+        assert err == ""
 
 
 def test_malformed_inputs_are_input_errors(capsys, tmp_path):
