@@ -5,19 +5,20 @@ Everything downstream computes in Q(i). The monomial order is graded
 reverse lexicographic, fixed once here; no floating point anywhere.
 `mat_mul`, `mat_vec`, `mat_transpose` and `mat_det` take Q(i) or
 MultiPoly entries; `mat_det` is the one determinant for both, by
-fraction-free elimination whose exact divisions are checked, and
-`det_adjugate` takes its minors from it.
+fraction-free elimination whose exact divisions are checked.
+`det_adjugate` gets a polynomial determinant and adjugate together from
+n `mat_mul` products, dividing only by the integers 1..n.
 
 Every sum of polynomial products goes through one kernel,
 `linear_combination`: it adds up the products on Gaussian-integer
 numerators over one common denominator and normalises once. Its callers
 are `MultiPoly.__mul__` and `compose`, the polynomial `mat_mul`,
-`mat_vec` and Bareiss update in `mat_det`, `WeylGroup.act`,
-`invariants.reynolds`, and in `vecfields` the field action `apply_to`
-(the jet gradient action included), the pushed and averaged fields,
-`jet_mul` and `jet_invert`. `MultiPoly.shift`, behind `jet_of` and
-`Jet.polynomial`, expands (x + a)^k binomially on the same integer
-numerators.
+`mat_vec` and Bareiss update in `mat_det`, the traces of `det_adjugate`,
+`WeylGroup.act`, `invariants.reynolds`, and in `vecfields` the field
+action `apply_to` (the jet gradient action included), the pushed and
+averaged fields, `jet_mul` and `jet_invert`. `MultiPoly.shift`, behind
+`jet_of` and `Jet.polynomial`, expands (x + a)^k binomially on the same
+integer numerators.
 
 Every sum of Q(i) products goes through its scalar twin, `_dot`, in the
 same way: the Q(i) `mat_mul` and `mat_vec`, the Bareiss update of a
@@ -660,26 +661,23 @@ def poly_divides(f: MultiPoly, p: MultiPoly):
 # ------------------------------------------------------------------ matrices
 
 def det_adjugate(M):
-    """Determinant and adjugate of a square MultiPoly matrix, both taken
-    from `mat_det`: adj[i][j] is (-1)^(i+j) times the minor of M without
-    row j and column i.
-
+    """Determinant and adjugate of a square MultiPoly matrix, by the
+    Faddeev-LeVerrier recurrence (Gantmacher, The Theory of Matrices,
+    vol. 1, ch. IV) for -M, which leaves no sign: from B_0 = 0 and c_0 = 1,
+    B_k = c_(k-1) I - M B_(k-1) and c_k = tr(M B_k)/k give det = c_n and
+    adj = B_n. The only divisions are by the integers 1..n, and
     M * adj = det * identity as an exact polynomial identity.
     """
     n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("matrix is not square")
-    det = mat_det(M)
-    if n == 1:
-        return det, [[MultiPoly.one(det.num_vars)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = mat_det(
-                [[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            )
-            adj[i][j] = -minor if (i + j) % 2 else minor
-    return det, adj
+    if not n or any(len(row) != n for row in M):
+        raise ValueError("matrix is empty or not square")
+    nv = M[0][0].num_vars
+    MB, c = [[MultiPoly.zero(nv)] * n] * n, MultiPoly.one(nv)
+    for k in range(1, n + 1):
+        B = [[c - x if i == j else -x for j, x in enumerate(r)] for i, r in enumerate(MB)]
+        MB = mat_mul(M, B)
+        c = linear_combination(nv, [(_qi(1, 0, k), r[i]) for i, r in enumerate(MB)])
+    return c, B
 
 
 # particular is None when the system is inconsistent

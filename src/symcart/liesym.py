@@ -439,15 +439,14 @@ MAX_PAIR_DIM = 24
 def load_pair(definition):
     """Build a SymmetricPair from its JSON-style definition document."""
     try:
-        dim = int(definition["dim"])
+        dim = definition["dim"]
         brackets = definition["brackets"]
         sigma = definition["sigma"]
     except KeyError as e:
         raise ValueError(f"pair definition is missing key {e.args[0]!r}") from None
-    except TypeError:
-        raise ValueError(
-            f"pair definition dim must be an integer, not {definition['dim']!r}"
-        ) from None
+    # a JSON integer only: no float, string or bool is read as one
+    if type(dim) is not int:
+        raise ValueError(f"pair definition dim must be an integer, not {dim!r}")
     name = definition.get("name", "")
     if dim < 1:
         raise ValueError(f"pair definition dim must be positive, not {dim}")
@@ -464,12 +463,11 @@ def load_pair(definition):
     c = [[[Qi(0)] * dim for _ in range(dim)] for _ in range(dim)]
     given = {}
     for entry in brackets:
-        if not (isinstance(entry, list) and len(entry) == 4):
+        if not (isinstance(entry, list) and len(entry) == 4) or any(
+            type(x) is not int for x in entry[:3]
+        ):
             raise ValueError(f"bad bracket entry {entry!r}")
-        try:
-            i, j, k = int(entry[0]), int(entry[1]), int(entry[2])
-        except (TypeError, ValueError):
-            raise ValueError(f"bad bracket entry {entry!r}") from None
+        i, j, k = entry[:3]
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"bracket entry {entry!r} is out of range")
         if (i, j, k) in given:

@@ -358,6 +358,9 @@ MALFORMED_PAIRS = {
     "sigma-shape": "sigma matrix has the wrong shape",
     # a JSON float would read as its binary expansion, not as 1/10
     "float-kappa": "not a scalar: 0.1",
+    # dim and the bracket indices are JSON integers: a float is refused, not truncated
+    "float-dim": "pair definition dim must be an integer, not 3.0",
+    "float-bracket-index": "bad bracket entry [0.5, 1, 2, '-2']",
 }
 
 
@@ -430,11 +433,16 @@ def test_malformed_inputs_are_input_errors(capsys, tmp_path):
     assert "dim" in report["error"]["message"]
     for field, value, word in (
         ("dim", 0, "dim"),
+        ("dim", "3", "dim must be an integer, not '3'"),
+        # a bool is a Python int, but not a JSON integer
+        ("dim", True, "dim must be an integer, not True"),
         # refused before the dim^3 structure constants are allocated
         ("dim", MAX_PAIR_DIM + 1, "exceeds the bound"),
         ("brackets", None, "brackets"),
         ("brackets", [5], "bracket entry"),
         ("brackets", [[None, 1, 2, "1"]], "bracket entry"),
+        ("brackets", [["0", 1, 2, "-2"]], "bad bracket entry"),
+        ("brackets", [[0, True, 2, "-2"]], "bad bracket entry"),
         ("sigma", None, "sigma"),
         ("sigma", [[None, 0, 0], [0, -1, 0], [0, 0, -1]], "not a scalar"),
         ("kappa", 3, "kappa"),
@@ -576,6 +584,16 @@ MUTANTS = {
         "import symcart.invariants as m\n"
         "setattr(m, 'mat_det', lambda M: M[0][0] * 0)",
         {"jacobian_det": "(0)"},
+    ),
+    "phi_invariant": (
+        ["phi", "--pair", "sl2-so2"],
+        "import symcart.invariants as m\n"
+        "phi_from_roots = m.phi_from_roots\n"
+        "def tilted(system):\n"
+        "    phi = phi_from_roots(system)\n"
+        "    return phi * m.MultiPoly.variable(phi.num_vars, 0)\n"
+        "setattr(m, 'phi_from_roots', tilted)",
+        {"phi": "(-4)*x0^3"},
     ),
     "root_bookkeeping": (
         ["roots", "--pair", "sl2-so2"],

@@ -1,15 +1,15 @@
 """Property tests for the fraction-free determinant `mat_det` and the
-adjugate built from its minors, against the cofactor expansion in
-`_oracles` and against sympy. Matrices have Gaussian-rational entries or
-polynomial entries in two variables of degree at most 2, and include
-singular ones and zero leading pivots."""
+Faddeev-LeVerrier determinant and adjugate `det_adjugate`, against the
+cofactor expansion in `_oracles` and against sympy. Matrices have
+Gaussian-rational entries or polynomial entries in two variables of
+degree at most 2, and include singular ones and zero leading pivots."""
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import det_cofactor
+from _oracles import count_calls, det_cofactor
 from symcart.exactalg import CertificationError, MultiPoly, det_adjugate, mat_det, mat_mul
 from symcart.exactalg import GaussianRational as Qi
 
@@ -84,6 +84,32 @@ def test_adjugate_times_matrix_is_det_identity(M):
     assert mat_mul(M, adj) == [
         [det if i == j else zero for j in range(n)] for i in range(n)
     ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square(_polys, 4))
+def test_det_adjugate_matches_sympy(M):
+    det, adj = det_adjugate(M)
+    S = sympy.Matrix([[_to_sympy(x) for x in row] for row in M])
+    assert sympy.expand(S.det() - _to_sympy(det)) == 0
+    got = sympy.Matrix([[_to_sympy(x) for x in row] for row in adj])
+    assert (S.adjugate() - got).expand() == sympy.zeros(len(M))
+
+
+def test_det_adjugate_takes_no_determinant_and_no_division(monkeypatch):
+    dets = count_calls(monkeypatch, "mat_det")
+    divisions = count_calls(monkeypatch, "MultiPoly.divmod_by")
+    x = MultiPoly.variable(2, 0)
+    y = MultiPoly.variable(2, 1)
+    one = MultiPoly.one(2)
+    det, _ = det_adjugate([[x, y, one], [y, x * y, x], [one, x, y * y]])
+    assert (dets, divisions) == ([], [])
+    assert not det.is_zero()
+
+
+def test_det_adjugate_rejects_empty():
+    with pytest.raises(ValueError):
+        det_adjugate([])
 
 
 def test_mat_det_row_swap_and_zero_column():
