@@ -62,12 +62,17 @@ class CertificationError(RuntimeError):
 class GaussianRational:
     """Element (a + b i)/d of Q(i), kept as three ints with d > 0 and
     gcd(a, b, d) = 1, so equal values have equal triples. Each operation
-    takes one `math.gcd`; `real` and `imag` are the parts as Fractions.
+    takes one `math.gcd`, and two ints are taken as the triple (a, b, 1)
+    as they stand. Every computation reads the triple; a `Fraction` is
+    made only to read one passed in, or for `real`, `imag` and `repr`.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, real=0, imag=0):
+        if type(real) is int and type(imag) is int:
+            self._a, self._b, self._d = real, imag, 1
+            return
         re, im = Fraction(real), Fraction(imag)
         d = lcm(re.denominator, im.denominator)
         # the part whose denominator holds the top power of a prime p is
@@ -165,9 +170,6 @@ class GaussianRational:
     def is_zero(self):
         return self._a == 0 and self._b == 0
 
-    def sort_key(self):
-        return (self.real, self.imag)
-
     def __repr__(self):
         return f"Qi({self.real!s}, {self.imag!s})"
 
@@ -189,14 +191,32 @@ QI_ZERO = Qi(0)
 QI_ONE = Qi(1)
 
 
+def _part(n, d):
+    """n/d as `str(Fraction(n, d))` writes it, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def render_scalar(s: GaussianRational) -> str:
-    if s.imag == 0:
-        return str(s.real)
-    if s.real == 0:
-        return f"{s.imag}i"
-    if s.imag < 0:
-        return f"{s.real} - {-s.imag}i"
-    return f"{s.real} + {s.imag}i"
+    a, b, d = s._a, s._b, s._d
+    if b == 0:
+        return _part(a, d)
+    if a == 0:
+        return f"{_part(b, d)}i"
+    if b < 0:
+        return f"{_part(a, d)} - {_part(-b, d)}i"
+    return f"{_part(a, d)} + {_part(b, d)}i"
+
+
+def exact_order(rows):
+    """Indices of the Q(i) sequences `rows` in the order of their entries'
+    (real, imag) pairs, compared entry by entry: sorted on the integer
+    numerators over the common denominator of every entry."""
+    D = lcm(*[x._d for r in rows for x in r])
+    keys = [
+        [v for x in r for v in (x._a * (D // x._d), x._b * (D // x._d))] for r in rows
+    ]
+    return sorted(range(len(rows)), key=keys.__getitem__)
 
 
 def render_vector(v):
@@ -317,10 +337,10 @@ class MultiPoly:
             raise ValueError("variable count mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.constant(self.num_vars, GaussianRational._coerce(other))
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
+            other = MultiPoly.constant(self.num_vars, GaussianRational._coerce(other))
         self._check(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
@@ -336,13 +356,13 @@ class MultiPoly:
         return _poly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational._coerce(other)
-            return _poly(self.num_vars, {e: v * c for e, v in self.terms.items()})
-        if not isinstance(other, MultiPoly):
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            return linear_combination(self.num_vars, ((self, other),))
+        if not isinstance(other, (int, Fraction, GaussianRational)):
             return NotImplemented
-        self._check(other)
-        return linear_combination(self.num_vars, ((self, other),))
+        c = GaussianRational._coerce(other)
+        return _poly(self.num_vars, {e: v * c for e, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -921,37 +941,58 @@ def matrix_min_poly(A):
     )
 
 
-def _int_divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def _gaussian_int_divisors(a, b):
-    """All Gaussian integers x + yi dividing a + bi (which must be nonzero)."""
-    norm = a * a + b * b
-    out = set()
-    for d in _int_divisors(norm):
-        x = 0
-        while x * x <= d:
-            y2 = d - x * x
-            y = isqrt(y2)
-            if y * y == y2:
-                for sx in (x, -x):
-                    for sy in (y, -y):
-                        if sx == 0 and sy == 0:
-                            continue
-                        # (a+bi)/(sx+syi) integral iff d divides both parts below
-                        if (a * sx + b * sy) % d == 0 and (b * sx - a * sy) % d == 0:
-                            out.add((sx, sy))
-            x += 1
+    """All Gaussian integers (x, y) dividing a + bi (which must be
+    nonzero): the four units times each product of its prime factors.
+
+    The rational primes p below them come by trial division of
+    g = gcd(a, b) and of the norm of (a + bi)/g. Above p lie 1 + i for
+    p = 2, p for p = 3 mod 4, and for p = 1 mod 4 the conjugates s +- yi
+    with s^2 + y^2 = p, read off Euclid's algorithm on p and a root of
+    -1 mod p (Hermite-Serret).
+    """
+    g = gcd(a, b)
+    primes = set()
+    for n in (g, (a * a + b * b) // (g * g)):
+        p = 2
+        while p * p <= n:
+            if n % p:
+                p += 1
+            else:
+                primes.add(p)
+                n //= p
+        if n > 1:
+            primes.add(n)
+    out = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    for p in primes:
+        if p % 4 != 1:
+            above = [(1, 1) if p == 2 else (p, 0)]
+        else:
+            c = 2
+            while pow(c, p // 2, p) == 1:
+                c += 1
+            r, s = p, pow(c, p // 4, p)
+            while s * s > p:
+                r, s = s, r % s
+            y = isqrt(p - s * s)
+            above = [(s, y), (s, -y)]
+        for x, y in above:
+            # the powers of x + yi that divide a + bi
+            n = x * x + y * y
+            powers = [(1, 0)]
+            u, v = a, b
+            while (u * x + v * y) % n == 0 and (v * x - u * y) % n == 0:
+                u, v = (u * x + v * y) // n, (v * x - u * y) // n
+                c, d = powers[-1]
+                powers.append((c * x - d * y, c * y + d * x))
+            out = [(c * e - d * f, c * f + d * e) for c, d in out for e, f in powers]
     return out
+
+
+# the largest norm of an end coefficient whose divisors the root search
+# enumerates: factoring it takes at most about its square root in trial
+# divisions, half a second at this size on a 2-core host
+MAX_ROOT_SEARCH_NORM = 10**13
 
 
 def gaussian_rational_roots(f):
@@ -960,7 +1001,9 @@ def gaussian_rational_roots(f):
 
     Candidate roots p/q come from Gaussian-integer divisors of the (cleared)
     constant and leading coefficients; each is verified by exact evaluation
-    and removed by exact division by x - r, so the flag is honest.
+    and removed by exact division by x - r, so the flag is honest. Either
+    coefficient of norm above `MAX_ROOT_SEARCH_NORM` is refused with a
+    ValueError before any divisor is sought.
     """
     if f.degree() <= 0:
         return [], True
@@ -974,16 +1017,20 @@ def gaussian_rational_roots(f):
     if f.degree() == 0:
         return roots, True
     # clear denominators to Gaussian-integer coefficients
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.real.denominator, c.imag.denominator)
-    c0 = f.constant_term() * den
-    ck = f.leading_term()[1] * den
-    candidates = set()
-    for p in _gaussian_int_divisors(int(c0.real), int(c0.imag)):
-        for q in _gaussian_int_divisors(int(ck.real), int(ck.imag)):
-            candidates.add(Qi(p[0], p[1]) / Qi(q[0], q[1]))
-    for r in sorted(candidates, key=lambda s: s.sort_key()):
+    den = lcm(*[c._d for c in f.terms.values()])
+    ends = []
+    for c in (f.constant_term(), f.leading_term()[1]):
+        a, b = c._a * (den // c._d), c._b * (den // c._d)
+        if a * a + b * b > MAX_ROOT_SEARCH_NORM:
+            raise ValueError(
+                "root search refused: the constant or leading coefficient has "
+                f"norm {a * a + b * b} after clearing denominators, "
+                f"above {MAX_ROOT_SEARCH_NORM}"
+            )
+        ends.append(_gaussian_int_divisors(a, b))
+    candidates = list({Qi(*p) / Qi(*q) for p in ends[0] for q in ends[1]})
+    for i in exact_order([[r] for r in candidates]):
+        r = candidates[i]
         while f.degree() >= 1 and f.evaluate([r]).is_zero():
             if r not in roots:
                 roots.append(r)

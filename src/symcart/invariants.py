@@ -8,7 +8,6 @@ identity that ties the two together.
 
 import functools
 import math
-from fractions import Fraction
 
 from .exactalg import (
     CertificationError,
@@ -16,6 +15,7 @@ from .exactalg import (
     LinearSpan,
     MultiPoly,
     _grevlex_key,
+    _qi,
     det_adjugate,
     linear_combination,
     mat_det,
@@ -35,7 +35,7 @@ Qi = GaussianRational
 
 def reynolds(weyl, f):
     """Group average of f, the exact projector onto invariants."""
-    scale = Qi(Fraction(1, weyl.order))
+    scale = _qi(1, 0, weyl.order)
     return linear_combination(
         f.num_vars, [(scale, weyl.act(i, f)) for i in range(weyl.order)]
     )

@@ -17,6 +17,7 @@ from .exactalg import (
     Qi,
     SpectrumError,  # callers catch it from here
     _dot,
+    exact_order,
     joint_eigenspaces,
     kernel_basis,
     linear_combination,
@@ -33,9 +34,10 @@ from .liesym import _vec
 
 
 def _key(v):
-    """Exact sort and lookup key of a vector, or of a matrix by rows."""
+    """Exact lookup key of a vector, or of a matrix by rows: the
+    canonical (a, b, d) triple of every entry."""
     if v and isinstance(v[0], Qi):
-        return tuple(x.sort_key() for x in v)
+        return tuple((x._a, x._b, x._d) for x in v)
     return tuple(map(_key, v))
 
 
@@ -53,9 +55,10 @@ class WeylGroup:
     """Finite matrix group on a_C, generated by root reflections.
 
     `elements` is the closure of `generators` under multiplication, in
-    `_key` order, and `inverses` runs parallel to it: a generator g with
-    g g = I is its own inverse (every caller passes reflections) and any
-    other is inverted once, and the closure records
+    the `exact_order` of their entries row by row, and `inverses` runs
+    parallel to it: a generator g with g g = I is its own inverse (every
+    caller passes reflections) and any other is inverted once, and the
+    closure records
     (w g)^{-1} = g^{-1} w^{-1} beside each new product. `inverse_index`
     and `generator_index` locate w^{-1} and each generator in `elements`.
     A closure past `MAX_WEYL_ELEMENTS` is refused with a ValueError.
@@ -91,7 +94,9 @@ class WeylGroup:
                         )
                     closure[k] = (p, mat_mul(ginv, winv))
                     todo.append(closure[k])
-        keys = sorted(closure)
+        keys = list(closure)
+        order = exact_order([[x for row in closure[k][0] for x in row] for k in keys])
+        keys = [keys[i] for i in order]
         index = {k: i for i, k in enumerate(keys)}
         self.dim = dim
         self.generators = generators
@@ -195,7 +200,7 @@ def restricted_roots(pair):
         RestrictedRoot(list(f), m, flag)
         for (f, m), flag in zip(roots, flags)
     ]
-    out.sort(key=lambda r: _key(r.functional))
+    out = [out[i] for i in exact_order([r.functional for r in out])]
     return RestrictedRootSystem(out, cart.rank, zero_dim)
 
 

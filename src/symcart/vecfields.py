@@ -9,13 +9,13 @@ gradient action truncated by degree.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .exactalg import (
     CertificationError,
     GaussianRational,
     MultiPoly,
     QI_ONE,
+    _qi,
     linear_combination,
     mat_det,
     mat_transpose,
@@ -115,7 +115,7 @@ def reynolds_field(weyl, X):
     """Group average of the pushed-forward field, the exact projector
     onto invariant fields: component k is the one sum of
     (w_kl / |W|) X_l(w^{-1} x) over the elements w and the indices l."""
-    scale = Qi(Fraction(1, weyl.order))
+    scale = _qi(1, 0, weyl.order)
     moved = [
         [weyl.act(j, c) for c in X.components] for j in weyl.inverse_index
     ]

@@ -8,6 +8,7 @@ observes the implementation instead.
 
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from symcart import exactalg
 from symcart.exactalg import GaussianRational as Qi
@@ -186,6 +187,37 @@ def det_cofactor(M):
         term = M[0][j] * det_cofactor(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def render_scalar_by_fractions(x):
+    """x written from its `Fraction` parts `real` and `imag`."""
+    re, im = x.real, x.imag
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    if im < 0:
+        return f"{re} - {-im}i"
+    return f"{re} + {im}i"
+
+
+def gaussian_divisors_by_norms(a, b):
+    """Every Gaussian integer (x, y) dividing a + bi (nonzero), found by
+    trying each x + yi whose norm d divides the norm of a + bi."""
+    norm = a * a + b * b
+    out = set()
+    for e in range(1, isqrt(norm) + 1):
+        if norm % e:
+            continue
+        for d in {e, norm // e}:
+            for x in range(-isqrt(d), isqrt(d) + 1):
+                y = isqrt(d - x * x)
+                for y in {y, -y}:
+                    if x * x + y * y == d:
+                        # (a + bi)/(x + yi) = (a + bi)(x - yi)/d
+                        if (a * x + b * y) % d == 0 and (b * x - a * y) % d == 0:
+                            out.add((x, y))
+    return out
 
 
 def count_calls(monkeypatch, name):

@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -361,15 +362,23 @@ MALFORMED_PAIRS = {
     # dim and the bracket indices are JSON integers: a float is refused, not truncated
     "float-dim": "pair definition dim must be an integer, not 3.0",
     "float-bracket-index": "bad bracket entry [0.5, 1, 2, '-2']",
+    # sl2-so2 with its Cartan vector scaled by 890: the root search would
+    # take the divisors of 4 * 890^2, whose norm is just above the bound
+    "root-search-bound": (
+        "root search refused: the constant or leading coefficient has norm "
+        "10038758560000 after clearing denominators, above 10000000000000"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_PAIRS))
 def test_malformed_pair_file_corpus(name, capsys):
     path = Path(__file__).parent / "fixtures" / "malformed" / f"{name}.json"
+    start = time.perf_counter()
     code = cli.main(["roots", "--pair-file", str(path)])
+    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
-    assert code == 3
+    assert code == 3 and elapsed < 1
     assert json.loads(out)["error"] == {"code": "input", "message": MALFORMED_PAIRS[name]}
     assert "Traceback" not in err
 

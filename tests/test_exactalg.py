@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import sys
 import tokenize
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from symcart import exactalg
+from symcart import cli, exactalg
 from symcart.exactalg import (
     GaussianRational,
     LinearSpan,
@@ -25,6 +26,8 @@ from symcart.exactalg import (
     render_scalar,
     solve_exact,
 )
+from symcart.invariants import build_chart
+from symcart.liesym import load_pair
 
 Qi = GaussianRational
 
@@ -76,6 +79,29 @@ def test_scalar_parse_render_round_trip():
     assert render_scalar(Qi(Fraction(3, 2), 1)) == "3/2 + 1i"
     with pytest.raises(ValueError):
         parse_scalar("x")
+
+
+def test_construction_and_verify_build_no_fraction(monkeypatch, capsys):
+    # every scalar computation reads the integer triples: a Fraction is
+    # made only to read one passed in, or for `real`, `imag` and `repr`
+    built = []
+
+    def no_fraction(cls, *args, **kwargs):
+        built.append(args)
+        raise AssertionError("a Fraction was built")
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    doc = json.loads((path / "sl3-so21.json").read_text())
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    chart = build_chart(load_pair(doc))
+    code = cli.main(["verify", "--pair", "sl2-so2"])
+    monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    assert built == []
+    assert chart.degrees == [2, 3] and code == 0
+    assert all(c["passed"] for c in report["checks"])
+    x = Qi(Fraction(3, 2), 1)
+    assert (x.real, x.imag) == (Fraction(3, 2), 1) and repr(x) == "Qi(3/2, 1)"
 
 
 # ---------------------------------------------------------------- polynomials

@@ -1,6 +1,8 @@
 """Property tests for Q(i) scalars and `MultiPoly` over them: scalars
 round-trip through their rendering, obey the field axioms against a
 Fraction-pair oracle and keep one canonical integer triple per value;
+their rendering and `exact_order` agree with the Fraction parts, and the
+Gaussian divisors from prime factors agree with a search over norms;
 polynomial rendering round-trips through the parser, single-divisor
 division reassembles its input, and the Q(i) root search finds exactly
 the rational roots of polynomials built from them. The scalar dot
@@ -17,10 +19,14 @@ from math import gcd
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _oracles import gaussian_divisors_by_norms, render_scalar_by_fractions
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
     MultiPoly,
     _dot,
+    _gaussian_int_divisors,
+    _qi,
+    exact_order,
     gaussian_rational_roots,
     linear_combination,
     mat_mul,
@@ -102,6 +108,41 @@ def test_scalar_canonical_triple(x, y, k):
     assert (same._a, same._b, same._d) == (x._a, x._b, x._d)
     assert same == x and hash(same) == hash(x)
     assert Qi(x.real, x.imag) == x and hash(Qi(x.real, x.imag)) == hash(x)
+
+
+# canonical triples with zero and negative parts and denominators above 1
+_triples = st.builds(
+    _qi, st.integers(-60, 60) | st.just(0), st.integers(-60, 60) | st.just(0),
+    st.integers(1, 40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triples)
+def test_render_scalar_matches_the_fraction_parts(x):
+    assert render_scalar(x) == render_scalar_by_fractions(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(_triples, min_size=k, max_size=k), max_size=12)
+))
+def test_exact_order_sorts_as_the_fraction_pairs(rows):
+    ordered = [rows[i] for i in exact_order(rows)]
+    assert ordered == sorted(rows, key=lambda r: [(x.real, x.imag) for x in r])
+
+
+# Gaussian integers, some with repeated prime factors: 720 = 2^4 3^2 5
+_gauss_parts = st.integers(-3000, 3000) | st.integers(-4, 4).map(lambda k: 720 * k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gauss_parts, _gauss_parts)
+def test_gaussian_divisors_match_the_search_by_norms(a, b):
+    assume(a or b)
+    divisors = _gaussian_int_divisors(a, b)
+    assert len(set(divisors)) == len(divisors)
+    assert set(divisors) == gaussian_divisors_by_norms(a, b)
 
 
 # entries with zero, purely real and purely imaginary values among them
@@ -220,7 +261,7 @@ def test_roots_are_exactly_the_rational_factors(rs, c, g):
         f = f * (_x - r)
     roots, split = gaussian_rational_roots(f)
     # zero first, then the candidates in their sort order, each once
-    assert roots == sorted(set(rs), key=lambda s: (not s.is_zero(), s.sort_key()))
+    assert roots == sorted(set(rs), key=lambda s: (not s.is_zero(), (s.real, s.imag)))
     assert split == (g == "1")
 
 
