@@ -3,17 +3,17 @@ polynomials over them, and linear algebra over both.
 
 Everything downstream computes in Q(i). The monomial order is graded
 reverse lexicographic, fixed once here; no floating point anywhere.
-`mat_mul`, `mat_vec`, `mat_transpose` and `mat_det` take Q(i) or
-MultiPoly entries; `mat_det` is the one determinant for both, by
-fraction-free elimination whose exact divisions are checked.
-`det_adjugate` gets a polynomial determinant and adjugate together from
-n `mat_mul` products, dividing only by the integers 1..n.
+`mat_mul`, `mat_vec`, `mat_transpose`, `det_adjugate` and `mat_det`
+take Q(i) or MultiPoly entries. `det_adjugate` is the one determinant
+for both: the determinant and adjugate together from n `mat_mul`
+products, dividing only by the integers 1..n, and certified by its last
+product. `mat_det` is its determinant.
 
 Every sum of polynomial products goes through one kernel,
 `linear_combination`: it adds up the products on Gaussian-integer
 numerators over one common denominator and normalises once. Its callers
 are `MultiPoly.__mul__` and `compose`, the polynomial `mat_mul`,
-`mat_vec` and Bareiss update in `mat_det`, the traces of `det_adjugate`,
+`mat_vec` and the traces of a polynomial `det_adjugate`,
 `WeylGroup.act`, `invariants.reynolds`, and in `vecfields` the field
 action `apply_to` (the jet gradient action included), the pushed and
 averaged fields, `jet_mul` and `jet_invert`. `MultiPoly.shift`, behind
@@ -21,8 +21,8 @@ averaged fields, `jet_mul` and `jet_invert`. `MultiPoly.shift`, behind
 integer numerators.
 
 Every sum of Q(i) products goes through its scalar twin, `_dot`, in the
-same way: the Q(i) `mat_mul` and `mat_vec`, the Bareiss update of a
-scalar `mat_det`, the row reductions of `LinearSpan` (so every solve,
+same way: the Q(i) `mat_mul` and `mat_vec`, the traces of a scalar
+`det_adjugate`, the row reductions of `LinearSpan` (so every solve,
 kernel, inverse and rank), `MultiPoly.evaluate`, and in `liesym` and
 `rootsys` every bracket, ad matrix, trace form and kappa value.
 
@@ -681,22 +681,32 @@ def poly_divides(f: MultiPoly, p: MultiPoly):
 # ------------------------------------------------------------------ matrices
 
 def det_adjugate(M):
-    """Determinant and adjugate of a square MultiPoly matrix, by the
-    Faddeev-LeVerrier recurrence (Gantmacher, The Theory of Matrices,
+    """Determinant and adjugate of a square matrix over Q(i) or Q(i)[x], by
+    the Faddeev-LeVerrier recurrence (Gantmacher, The Theory of Matrices,
     vol. 1, ch. IV) for -M, which leaves no sign: from B_0 = 0 and c_0 = 1,
     B_k = c_(k-1) I - M B_(k-1) and c_k = tr(M B_k)/k give det = c_n and
-    adj = B_n. The only divisions are by the integers 1..n, and
-    M * adj = det * identity as an exact polynomial identity.
+    adj = B_n. The only divisions are by the integers 1..n. The last
+    product is certified: M B_n = c_n I (Cayley-Hamilton), so a wrong
+    determinant or adjugate raises, never returns.
     """
     n = len(M)
     if not n or any(len(row) != n for row in M):
         raise ValueError("matrix is empty or not square")
-    nv = M[0][0].num_vars
-    MB, c = [[MultiPoly.zero(nv)] * n] * n, MultiPoly.one(nv)
+    nv = _poly_vars(M[0][0])
+    zero, c = (QI_ZERO, QI_ONE) if nv is None else (MultiPoly.zero(nv), MultiPoly.one(nv))
+    MB = [[zero] * n] * n
     for k in range(1, n + 1):
         B = [[c - x if i == j else -x for j, x in enumerate(r)] for i, r in enumerate(MB)]
         MB = mat_mul(M, B)
-        c = linear_combination(nv, [(_qi(1, 0, k), r[i]) for i, r in enumerate(MB)])
+        c = _dot(nv, [_qi(1, 0, k)] * n, [r[i] for i, r in enumerate(MB)])
+    for i, row in enumerate(MB):
+        for j, x in enumerate(row):
+            if x != (c if i == j else zero):
+                raise CertificationError(
+                    "adjugate_identity",
+                    {"row": i, "column": j,
+                     "entry": render_scalar(x) if nv is None else x.render()},
+                )
     return c, B
 
 
@@ -801,52 +811,9 @@ def mat_transpose(A):
 
 
 def mat_det(A):
-    """Determinant of a square matrix whose entries are all in Q(i) or all
-    in Q(i)[x], by fraction-free (Bareiss) elimination with row swaps.
-
-    After step k every entry below and right of the pivot is a minor of
-    the row-permuted matrix of size k + 2, so dividing it by the previous
-    pivot is exact (Bareiss, Math. Comp. 22, 1968): plain `/` over Q(i),
-    and over Q(i)[x] a division whose remainder is certified zero. The
-    last entry is the determinant up to the sign of the swaps. A singular
-    matrix returns the zero of its entries' type.
-    """
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        raise ValueError("empty matrix")
-    rows = [list(r) for r in A]
-    nv = _poly_vars(rows[0][0])
-    negate = False
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
-        if piv is None:
-            return rows[k][k]
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            negate = not negate
-        p = rows[k][k]
-        for i in range(k + 1, n):
-            a = rows[i][k]
-            na = -a
-            for j in range(k + 1, n):
-                if a.is_zero() and rows[i][j].is_zero():
-                    continue  # the update keeps a zero entry zero
-                x = _dot(nv, (p, na), (rows[i][j], rows[k][j]))
-                if k and nv is None:
-                    x = x / prev
-                elif k:
-                    x, r = x.divmod_by(prev)
-                    if not r.is_zero():
-                        raise CertificationError(
-                            "det_division_exact",
-                            {"size": n, "step": k, "remainder": r.render()},
-                        )
-                rows[i][j] = x
-        prev = p
-    det = rows[-1][-1]
-    return -det if negate else det
+    """Determinant of a square matrix over Q(i) or Q(i)[x]: that of
+    `det_adjugate`, whose recurrence certifies itself."""
+    return det_adjugate(A)[0]
 
 
 def mat_inverse(A):
@@ -1028,7 +995,12 @@ def gaussian_rational_roots(f):
                 f"above {MAX_ROOT_SEARCH_NORM}"
             )
         ends.append(_gaussian_int_divisors(a, b))
-    candidates = list({Qi(*p) / Qi(*q) for p in ends[0] for q in ends[1]})
+    # p runs over the constant's divisors with all four associates, so
+    # p/(u q) = (p/u)/q for a unit u: the one associate x + yi of each q
+    # with x > 0 <= y gives every candidate
+    candidates = list(
+        {Qi(*p) / Qi(*q) for p in ends[0] for q in ends[1] if q[0] > 0 <= q[1]}
+    )
     for i in exact_order([[r] for r in candidates]):
         r = candidates[i]
         while f.degree() >= 1 and f.evaluate([r]).is_zero():

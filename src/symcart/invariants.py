@@ -192,17 +192,9 @@ def gradient(f, kappa_on_a, kappa_inverse=None):
 
 def _gram(A, phi):
     """Adjugate and determinant of the Gram matrix A, certified once per
-    chart: adj(A) A = det(A) I, and det(A) is a nonzero constant multiple
-    c of phi."""
+    chart: `det_adjugate` certifies A adj(A) = det(A) I, and here det(A)
+    is a nonzero constant multiple c of phi."""
     det, adj = det_adjugate(A)
-    zero = MultiPoly.zero(det.num_vars)
-    for i, row in enumerate(mat_mul(adj, A)):
-        for j, entry in enumerate(row):
-            if entry != (det if i == j else zero):
-                raise CertificationError(
-                    "adjugate_identity",
-                    {"row": i, "column": j, "entry": entry.render()},
-                )
     q = poly_divides(det, phi)
     if q is None or q.degree() > 0:
         raise CertificationError(

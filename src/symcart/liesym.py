@@ -30,7 +30,6 @@ from .exactalg import (
     _qi,
     joint_eigenspaces,
     kernel_basis,
-    mat_det,
     mat_identity,
     mat_mul,
     mat_rank,
@@ -194,10 +193,10 @@ class SymmetricPair:
             for j in range(i + 1, n):
                 if K[i][j] != K[j][i]:
                     raise ValueError("kappa is not symmetric")
-        if mat_det(K).is_zero():
+        if mat_rank(K) != n:
             raise ValueError("kappa is degenerate")
         Kq = [[K[i][j] for j in self.q_basis] for i in self.q_basis]
-        if self.q_basis and mat_det(Kq).is_zero():
+        if mat_rank(Kq) != len(Kq):
             raise ValueError("kappa is degenerate on q")
         # sigma^T K sigma = K with sigma diagonal: K vanishes between h and q
         for i in range(n):
@@ -447,11 +446,13 @@ def load_pair(definition):
     # a JSON integer only: no float, string or bool is read as one
     if type(dim) is not int:
         raise ValueError(f"pair definition dim must be an integer, not {dim!r}")
-    name = definition.get("name", "")
     if dim < 1:
         raise ValueError(f"pair definition dim must be positive, not {dim}")
     if dim > MAX_PAIR_DIM:
         raise ValueError(f"pair definition dim {dim} exceeds the bound {MAX_PAIR_DIM}")
+    name = definition.get("name", "")
+    if type(name) is not str:
+        raise ValueError(f"pair definition name must be a string, not {name!r}")
     if not isinstance(brackets, list):
         raise ValueError("pair definition brackets must be a list of entries")
     cartan_rows = definition.get("cartan") or []

@@ -362,6 +362,8 @@ MALFORMED_PAIRS = {
     # dim and the bracket indices are JSON integers: a float is refused, not truncated
     "float-dim": "pair definition dim must be an integer, not 3.0",
     "float-bracket-index": "bad bracket entry [0.5, 1, 2, '-2']",
+    # the name keys the slice-point table and is echoed in every report
+    "object-name": "pair definition name must be a string, not {}",
     # sl2-so2 with its Cartan vector scaled by 890: the root search would
     # take the divisors of 4 * 890^2, whose norm is just above the bound
     "root-search-bound": (
@@ -447,6 +449,9 @@ def test_malformed_inputs_are_input_errors(capsys, tmp_path):
         ("dim", True, "dim must be an integer, not True"),
         # refused before the dim^3 structure constants are allocated
         ("dim", MAX_PAIR_DIM + 1, "exceeds the bound"),
+        # a JSON string only: a list or object is unhashable, a number echoes
+        ("name", [1], "name must be a string, not [1]"),
+        ("name", 7, "name must be a string, not 7"),
         ("brackets", None, "brackets"),
         ("brackets", [5], "bracket entry"),
         ("brackets", [[None, 1, 2, "1"]], "bracket entry"),
@@ -572,15 +577,19 @@ def test_input_degree_bound(argv, capsys, monkeypatch):
 # `setattr` bound to monkeypatch.setattr in process and to the builtin
 # in a child process.
 MUTANTS = {
+    # a 1x1 matrix satisfies M B_1 = c_1 by construction: skew the polynomial
+    # products of size 2 and up, here those of sl3-so21's 2x2 Jacobian
     "adjugate_identity": (
-        ["phi", "--pair", "sl2-so2"],
-        "import symcart.invariants as m\n"
-        "det_adjugate = m.det_adjugate\n"
-        "def scaled(M):\n"
-        "    det, adj = det_adjugate(M)\n"
-        "    return det, [[e * 2 for e in row] for row in adj]\n"
-        "setattr(m, 'det_adjugate', scaled)",
-        {"row": 0, "column": 0, "entry": "(4)*x0^2"},
+        ["phi", "--pair", "sl3-so21"],
+        "import symcart.exactalg as m\n"
+        "mat_mul = m.mat_mul\n"
+        "def skewed(A, B):\n"
+        "    P = mat_mul(A, B)\n"
+        "    if len(P) > 1 and isinstance(P[0][0], m.MultiPoly):\n"
+        "        P[0][1] = P[0][1] + 1\n"
+        "    return P\n"
+        "setattr(m, 'mat_mul', skewed)",
+        {"row": 0, "column": 0, "entry": "(6)*x0^2*x1 + (2/3)*x1^3"},
     ),
     "gram_identity": (
         ["phi", "--pair", "sl2-so2"],
@@ -681,9 +690,10 @@ def test_every_certification_has_one_raise_site():
         "transition_entries_invariant",
         "transition_det_nonzero",
     } <= set(sites)
-    # adj(A) A = det(A) I is certified once per chart, where the Gram data
-    # is built; the CLI does not render it as a check of its own
-    assert sites["adjugate_identity"][0].startswith("invariants.py:")
+    # A adj(A) = det(A) I is certified by every determinant, from the last
+    # product of its recurrence; the CLI does not render it as a check of
+    # its own
+    assert sites["adjugate_identity"][0].startswith("exactalg.py:")
     # every chart, global or local, certifies its Jacobian where it is built
     assert sites["jacobian_nonzero"][0].startswith("invariants.py:")
 
