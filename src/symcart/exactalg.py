@@ -9,16 +9,21 @@ for both: the determinant and adjugate together from n `mat_mul`
 products, dividing only by the integers 1..n, and certified by its last
 product. `mat_det` is its determinant.
 
-Every sum of polynomial products goes through one kernel,
-`linear_combination`: it adds up the products on Gaussian-integer
-numerators over one common denominator and normalises once. Its callers
-are `MultiPoly.__mul__` and `compose`, the polynomial `mat_mul`,
-`mat_vec` and the traces of a polynomial `det_adjugate`,
-`WeylGroup.act`, `invariants.reynolds`, and in `vecfields` the field
-action `apply_to` (the jet gradient action included), the pushed and
-averaged fields, `jet_mul` and `jet_invert`. `MultiPoly.shift`, behind
-`jet_of` and `Jet.polynomial`, expands (x + a)^k binomially on the same
-integer numerators.
+A polynomial has one store, on integers: a least common denominator
+and, per packed exponent (the total degree above one FIELD_BITS field
+per variable), the Gaussian-integer numerator of its coefficient. A
+product's exponent is one int addition and grevlex one int comparison
+(`_order`); Q(i) coefficients are built only when the `terms` view is
+read. Every sum of polynomial products goes through one kernel,
+`linear_combination`: it adds up the products on the stores' numerators
+over one common denominator and normalises once, with one gcd. Its
+callers are `MultiPoly` sums, differences, scalar multiples, `__mul__`
+and `compose`, the polynomial `mat_mul`, `mat_vec` and the traces of a
+polynomial `det_adjugate`, `WeylGroup.act`, `invariants.reynolds`, and
+in `vecfields` the field action `apply_to` (the jet gradient action
+included), the pushed and averaged fields, `jet_mul` and `jet_invert`.
+`MultiPoly.shift`, behind `jet_of` and `Jet.polynomial`, expands
+(x + a)^k binomially on the same integer numerators.
 
 Every sum of Q(i) products goes through its scalar twin, `_dot`, in the
 same way: the Q(i) `mat_mul` and `mat_vec`, the traces of a scalar
@@ -32,7 +37,7 @@ A part is p, p/q, pi, p/qi or i, for decimal p and q > 0; a factor is a
 part, a parenthesised sum of signed parts, xN or xN^k; `*` joins factors
 and `+`/`-` separate terms, and sign runs may precede any factor.
 Whitespace may surround operators and parentheses, never split a
-literal. Each term is read into one exponent tuple and one integer
+literal. Each term is read into one packed exponent and one integer
 coefficient, normalised once: no Fraction, no polynomial product.
 """
 
@@ -42,7 +47,6 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm, prod
-from operator import add
 
 
 class CertificationError(RuntimeError):
@@ -239,33 +243,61 @@ def parse_scalar(text: str) -> GaussianRational:
 
 # ------------------------------------------------------------------ polynomials
 
-def _grevlex_key(e):
-    return (sum(e), tuple(-x for x in reversed(e)))
+# An exponent vector e in n variables is packed into one int: e_i in the
+# FIELD_BITS-bit field at bit FIELD_BITS * i, the total degree above them
+# all. Every stored degree is below EXPONENT_BOUND, half a field, so the
+# top bit of each field stays clear: a product's exponent is one addition
+# that carries nothing, and in a difference the top bit of some field is
+# set exactly when an exponent went negative.
+FIELD_BITS = 16
+EXPONENT_BOUND = 1 << FIELD_BITS - 1
+
+
+def _pack(e):
+    k = sum(e)
+    if k >= EXPONENT_BOUND:
+        raise ValueError(f"degree {k} reaches the exponent bound {EXPONENT_BOUND}")
+    for x in reversed(e):
+        k = k << FIELD_BITS | x
+    return k
+
+
+def _unpack(k, n):
+    return tuple(k >> FIELD_BITS * i & EXPONENT_BOUND - 1 for i in range(n))
+
+
+def _order(n):
+    """Sort key of packed exponents in n variables, ascending grevlex: the
+    degree, then the variable fields complemented, last variable first."""
+    return ((1 << FIELD_BITS * n) - 1).__xor__
 
 
 class MultiPoly:
-    """Dense-in-support polynomial: exponent tuple -> nonzero Q(i) coefficient.
-
-    A value is never changed after construction: products and linear
-    combinations keep its coefficients over their common denominator
-    (`_integer_terms`) on first use.
+    """Polynomial over Q(i), stored on integers: `_num` maps each packed
+    exponent to the Gaussian-integer numerator [a, b] of its coefficient
+    (a + b i)/`_den`, with `_den` > 0 and gcd(`_den`, every a, every b) = 1,
+    so equal polynomials have equal stores. A value is never changed
+    after construction. `terms`, exponent tuple -> Q(i), is a read view
+    built on first use; arithmetic never reads it.
     """
 
-    __slots__ = ("num_vars", "terms", "_ints")
+    __slots__ = ("num_vars", "_den", "_num", "_terms")
 
     def __init__(self, num_vars, terms=None):
-        self.num_vars = num_vars
-        self._ints = None
         clean = {}
         for e, c in (terms or {}).items():
             e = tuple(int(x) for x in e)
             if len(e) != num_vars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent {e} for {num_vars} variables")
-            if not isinstance(c, GaussianRational):
-                c = GaussianRational(c)
-            if not c.is_zero():
-                clean[e] = c
-        self.terms = clean
+            clean[_pack(e)] = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        _from_terms(num_vars, clean, self)
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            n, D = self.num_vars, self._den
+            self._terms = {_unpack(e, n): _qi(a, b, D) for e, (a, b) in self._num.items()}
+        return self._terms
 
     # -- constructors
 
@@ -283,9 +315,7 @@ class MultiPoly:
 
     @staticmethod
     def variable(num_vars, i):
-        e = [0] * num_vars
-        e[i] = 1
-        return MultiPoly(num_vars, {tuple(e): QI_ONE})
+        return MultiPoly.linear_form([QI_ONE if j == i else QI_ZERO for j in range(num_vars)])
 
     @staticmethod
     def linear_form(coeffs):
@@ -301,31 +331,29 @@ class MultiPoly:
     # -- basic queries
 
     def is_zero(self):
-        return not self.terms
+        return not self._num
 
     def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._num) >> FIELD_BITS * self.num_vars if self._num else -1
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len({e >> FIELD_BITS * self.num_vars for e in self._num}) <= 1
 
     def homogeneous_components(self):
         parts = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {d: _poly(self.num_vars, t) for d, t in sorted(parts.items())}
+        for e, t in self._num.items():
+            parts.setdefault(e >> FIELD_BITS * self.num_vars, {})[e] = t
+        return {d: _normal(self.num_vars, self._den, t) for d, t in sorted(parts.items())}
 
     def leading_term(self):
-        if not self.terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grevlex_key)
-        return e, self.terms[e]
+        e = max(self._num, key=_order(self.num_vars))
+        return _unpack(e, self.num_vars), _qi(*self._num[e], self._den)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.num_vars, QI_ZERO)
+        t = self._num.get(0)
+        return _qi(*t, self._den) if t else QI_ZERO
 
     def coefficient_vector(self, monomials):
         return [self.terms.get(e, QI_ZERO) for e in monomials]
@@ -336,33 +364,31 @@ class MultiPoly:
         if self.num_vars != other.num_vars:
             raise ValueError("variable count mismatch")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=QI_ONE):
         if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction, GaussianRational)):
+            other = GaussianRational._coerce(other)
+            if other is None:
                 return NotImplemented
-            other = MultiPoly.constant(self.num_vars, GaussianRational._coerce(other))
+            other = MultiPoly.constant(self.num_vars, other)
         self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, QI_ZERO) + c
-        return _poly(self.num_vars, t)
+        return linear_combination(self.num_vars, ((QI_ONE, self), (sign, other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, (-1, 0, 1))
 
     def __neg__(self):
-        return _poly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return linear_combination(self.num_vars, (((-1, 0, 1), self),))
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
             return linear_combination(self.num_vars, ((self, other),))
-        if not isinstance(other, (int, Fraction, GaussianRational)):
+        other = GaussianRational._coerce(other)
+        if other is None:
             return NotImplemented
-        c = GaussianRational._coerce(other)
-        return _poly(self.num_vars, {e: v * c for e, v in self.terms.items()})
+        return linear_combination(self.num_vars, ((other, self),))
 
     def __rmul__(self, other):
         return self * other
@@ -375,26 +401,29 @@ class MultiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+        return (self.num_vars, self._den, self._num) == (other.num_vars, other._den, other._num)
 
     # -- calculus and substitution
 
     def partial(self, i):
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            t[tuple(e2)] = c * e[i]
-        return _poly(self.num_vars, t)
+        n = self.num_vars
+        if not 0 <= i < n:
+            raise IndexError(f"no variable x{i} among {n}")
+        step = (1 << FIELD_BITS * n) + (1 << FIELD_BITS * i)
+        acc = {}
+        for e, (a, b) in self._num.items():
+            k = e >> FIELD_BITS * i & EXPONENT_BOUND - 1
+            if k:
+                acc[e - step] = [a * k, b * k]
+        return _normal(n, self._den, acc)
 
     def evaluate(self, point):
         if len(point) != self.num_vars:
@@ -422,15 +451,15 @@ class MultiPoly:
         # powers[i][k] is subs[i]^k, extended on demand
         powers = [[one] for _ in subs]
         pairs = []
-        for e, c in self.terms.items():
+        for e, (a, b) in self._num.items():
             term = one
-            for i, k in enumerate(e):
+            for i, k in enumerate(_unpack(e, self.num_vars)):
                 if k:
                     cache = powers[i]
                     while len(cache) <= k:
                         cache.append(cache[-1] * subs[i])
                     term = cache[k] if term is one else term * cache[k]
-            pairs.append((c, term))
+            pairs.append(((a, b, self._den), term))
         return linear_combination(n, pairs)
 
     def compose_linear(self, M):
@@ -441,34 +470,35 @@ class MultiPoly:
         """f(x + point), by the binomial expansion of every power
         (x_i + a_i)^k = sum_j C(k, j) a_i^(k - j) x_i^j.
 
-        With the coefficients over their denominator D and the point as
-        Gaussian integers A_i over its denominator d, row (i, k) holds
-        C(k, j) A_i^(k - j) d^j for j = 0..k, built once per call; the
-        product of the rows of a term of degree m, times d^(top - m), is
-        its expansion over D d^top, for the top degree `top` of f. All of
-        it is added up on integer numerators and normalised once.
+        With the point as Gaussian integers A_i over its denominator d,
+        row (i, k) holds C(k, j) A_i^(k - j) d^j for j = 0..k, built once
+        per call; the product of the rows of a term of degree m, times
+        d^(top - m), is its expansion over `_den` d^top, for the top
+        degree `top` of f. All of it is added up on the integer store and
+        normalised once.
         """
         n = self.num_vars
         if len(point) != n:
             raise ValueError("point dimension mismatch")
         a = [GaussianRational._coerce(x) for x in point]
-        if not self.terms or not any(a):
+        if not self._num or not any(a):
             return self
-        D, rows = _integer_terms(self)
         d = lcm(*[x._d for x in a])
-        gauss = [(x._a * (d // x._d), x._b * (d // x._d)) for x in a]
         top = self.degree()
         binomial = {}
         acc = {}
-        for e, re, im in rows:
-            s = d ** (top - sum(e))
-            parts = [((), re * s, im * s)]
-            for i, k in enumerate(e):
+        for e, (re, im) in self._num.items():
+            s = d ** (top - (e >> FIELD_BITS * n))
+            parts = [(0, re * s, im * s)]
+            for i, k in enumerate(_unpack(e, n)):
                 row = binomial.get((i, k))
                 if row is None:
-                    row = binomial[i, k] = _binomial_row(gauss[i], d, k)
+                    x = a[i]
+                    z = x._a * (d // x._d), x._b * (d // x._d)
+                    unit = (1 << FIELD_BITS * n) + (1 << FIELD_BITS * i)
+                    row = binomial[i, k] = _binomial_row(z, d, k, unit)
                 parts = [
-                    (x + (j,), u * p - v * q, u * q + v * p)
+                    (x + j, u * p - v * q, u * q + v * p)
                     for x, u, v in parts
                     for j, p, q in row
                 ]
@@ -479,50 +509,53 @@ class MultiPoly:
                 else:
                     t[0] += u
                     t[1] += v
-        return _poly_over(n, acc, D * d**top)
+        return _normal(n, self._den * d**top, acc)
 
     # -- division
 
     def divmod_by(self, p: "MultiPoly"):
-        """Quotient and remainder for the single divisor p under grevlex."""
+        """Quotient and remainder for the single divisor p under grevlex,
+        on packed exponents and Q(i) coefficients."""
         self._check(p)
         if p.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         n = self.num_vars
-        pe, pc = p.leading_term()
-        q: dict = {}
-        r: dict = {}
-        work = dict(self.terms)
+        key = _order(n)
+        # the top bit of every variable field: set in e - pe exactly when
+        # the leading monomial of p does not divide x^e
+        guards = sum(EXPONENT_BOUND << FIELD_BITS * i for i in range(n))
+        pe = max(p._num, key=key)
+        pc = _qi(*p._num[pe], p._den)
+        # the other terms of p, by their exponent's offset from pe
+        rest = [(e - pe, _qi(a, b, p._den)) for e, (a, b) in p._num.items() if e != pe]
+        q = {}
+        r = {}
+        work = {e: _qi(a, b, self._den) for e, (a, b) in self._num.items()}
         while work:
-            e = max(work, key=_grevlex_key)
+            e = max(work, key=key)
             c = work.pop(e)
-            if all(e[k] >= pe[k] for k in range(n)):
-                d = tuple(e[k] - pe[k] for k in range(n))
-                f = c / pc
-                q[d] = q.get(d, QI_ZERO) + f
-                for e2, c2 in p.terms.items():
-                    if e2 == pe:
-                        continue
-                    tgt = tuple(e2[k] + d[k] for k in range(n))
-                    nc = work.get(tgt, QI_ZERO) - f * c2
-                    if nc.is_zero():
-                        work.pop(tgt, None)
-                    else:
-                        work[tgt] = nc
-            else:
+            if (e - pe) & guards:
                 r[e] = c
-        return _poly(n, q), _poly(n, r)
+                continue
+            f = c / pc
+            q[e - pe] = f
+            for off, c2 in rest:
+                nc = work.get(e + off, QI_ZERO) - f * c2
+                if nc:
+                    work[e + off] = nc
+                else:
+                    work.pop(e + off, None)
+        return _from_terms(n, q), _from_terms(n, r)
 
     # -- rendering
 
     def render(self):
-        if not self.terms:
+        if not self._num:
             return "(0)"
         pieces = []
-        for e in sorted(self.terms, key=_grevlex_key, reverse=True):
-            c = self.terms[e]
-            factors = [f"({render_scalar(c)})"]
-            for i, k in enumerate(e):
+        for e in sorted(self._num, key=_order(self.num_vars), reverse=True):
+            factors = [f"({render_scalar(_qi(*self._num[e], self._den))})"]
+            for i, k in enumerate(_unpack(e, self.num_vars)):
                 if k == 1:
                     factors.append(f"x{i}")
                 elif k > 1:
@@ -542,7 +575,7 @@ class MultiPoly:
         for p, q, im, unit, var, k, op in _TOKEN.findall(text):
             if op and op in "+-":
                 if not want and group is None:
-                    terms.append((tuple(e), a, b, d))
+                    terms.append((_pack(e), a, b, d))
                     a, b, d, e = 1, 0, 1, [0] * num_vars
                 sign, want = -sign if op == "-" else sign, True
                 continue
@@ -574,50 +607,45 @@ class MultiPoly:
             sign, want = 1, False
         if want or group:
             raise ValueError(f"cannot parse {text!r}" if text.strip() else "empty polynomial")
-        terms.append((tuple(e), a, b, d))
+        terms.append((_pack(e), a, b, d))
+        D = lcm(*[t[3] for t in terms])
         acc = {}
         for e, a, b, d in terms:
-            if e in acc:
-                u, v, w = acc[e]
-                a, b, d = u * d + a * w, v * d + b * w, w * d
-            acc[e] = a, b, d
-        return _poly(num_vars, {e: _qi(*t) for e, t in acc.items()})
+            t = acc.setdefault(e, [0, 0])
+            t[0] += a * (D // d)
+            t[1] += b * (D // d)
+        return _normal(num_vars, D, acc)
 
     def __repr__(self):
         return f"MultiPoly({self.num_vars}, {self.render()})"
 
 
-def _poly(num_vars, terms):
-    """MultiPoly on exponent tuples and Q(i) coefficients that need no
-    validation; only the zero coefficients are dropped."""
-    p = object.__new__(MultiPoly)
-    p.num_vars = num_vars
-    p.terms = {e: c for e, c in terms.items() if c}
-    p._ints = None
+def _from_terms(num_vars, terms, p=None):
+    """MultiPoly from packed exponents and Q(i) coefficients, over their
+    least common denominator; stored in p when it is given."""
+    D = lcm(*[c._d for c in terms.values()])
+    acc = {e: [c._a * (D // c._d), c._b * (D // c._d)] for e, c in terms.items()}
+    return _normal(num_vars, D, acc, p)
+
+
+def _normal(num_vars, D, acc, p=None):
+    """MultiPoly with coefficient (a + b i)/D at e, from {e: [a, b]}: the
+    zero terms dropped and the content removed by one gcd; stored in p
+    when it is given."""
+    acc = {e: t for e, t in acc.items() if t[0] or t[1]}
+    g = gcd(D, *[x for t in acc.values() for x in t])
+    if g > 1:
+        D //= g
+        acc = {e: [a // g, b // g] for e, (a, b) in acc.items()}
+    p = p or object.__new__(MultiPoly)
+    p.num_vars, p._den, p._num, p._terms = num_vars, D, acc, None
     return p
 
 
-def _integer_terms(p):
-    """(D, [(e, a, b)]): the coefficients of p as (a + b i)/D over their
-    least common denominator D, computed once per polynomial."""
-    if p._ints is None:
-        D = lcm(*[c._d for c in p.terms.values()])
-        out = []
-        for e, c in p.terms.items():
-            s = D // c._d
-            out.append((e, c._a * s, c._b * s))
-        p._ints = (D, out)
-    return p._ints
-
-
-def _poly_over(num_vars, acc, D):
-    """MultiPoly with coefficient (re + im i)/D at e, from {e: [re, im]}."""
-    return _poly(num_vars, {e: _qi(re, im, D) for e, (re, im) in acc.items()})
-
-
-def _binomial_row(z, d, k):
-    """[(j, re, im)] for the nonzero C(k, j) z^(k - j) d^j, j = 0..k, with
-    the Gaussian integer z = (re, im)."""
+def _binomial_row(z, d, k, unit):
+    """[(j * unit, re, im)] for the nonzero C(k, j) z^(k - j) d^j,
+    j = 0..k, with the Gaussian integer z = (re, im) and the packed unit
+    exponent `unit`."""
     x, y = z
     powers = [(1, 0)]
     for _ in range(k):
@@ -628,44 +656,52 @@ def _binomial_row(z, d, k):
         p, q = powers[k - j]
         if p or q:
             s = comb(k, j) * d**j
-            row.append((j, p * s, q * s))
+            row.append((j * unit, p * s, q * s))
     return row
 
 
 def linear_combination(num_vars, pairs):
     """sum a * p over the pairs (a, p) of a MultiPoly p and a first factor
-    a that is a Q(i) scalar or a MultiPoly.
+    a that is a MultiPoly, a Q(i) scalar or the integer triple (x, y, d)
+    of the scalar (x + y i)/d.
 
     The one accumulation kernel: every product is added up on the
-    Gaussian-integer numerators over one common denominator, and the sum
-    is brought to lowest terms once, with one gcd per coefficient.
+    Gaussian-integer numerators over one common denominator, with one int
+    addition per exponent, and the sum is normalised once. Two polynomial
+    factors whose degrees add up to `EXPONENT_BOUND` are refused with a
+    ValueError, before any exponent field could carry.
     """
+    top = FIELD_BITS * num_vars
     forms = []
     D = 1
     for a, p in pairs:
-        dp, tp = _integer_terms(p)
+        tp = p._num
         if isinstance(a, MultiPoly):
-            da, ta = _integer_terms(a)
+            da, ta = a._den, a._num.items()
+            # the degree is the top field, so it adds up with the exponents
+            if ta and tp and (k := max(a._num) + max(tp) >> top) >= EXPONENT_BOUND:
+                raise ValueError(f"product degree {k} reaches the exponent bound {EXPONENT_BOUND}")
         else:
-            # a scalar is one term, whose products keep the exponents of p
-            da, ta = a._d, [(None, a._a, a._b)] if a else []
+            x, y, da = a if type(a) is tuple else (a._a, a._b, a._d)
+            ta = ((0, (x, y)),) if x or y else ()
         if ta and tp:
-            forms.append((ta, da * dp, tp))
-            D = lcm(D, da * dp)
+            d = da * p._den
+            forms.append((ta, d, tp.items()))
+            D = lcm(D, d)
     acc = {}
     for ta, d, tp in forms:
         s = D // d
-        for e1, x, y in ta:
+        for e1, (x, y) in ta:
             x, y = x * s, y * s
-            for e2, u, v in tp:
-                e = e2 if e1 is None else tuple(map(add, e1, e2))
+            for e2, (u, v) in tp:
+                e = e1 + e2
                 t = acc.get(e)
                 if t is None:
                     acc[e] = [x * u - y * v, x * v + y * u]
                 else:
                     t[0] += x * u - y * v
                     t[1] += x * v + y * u
-    return _poly_over(num_vars, acc, D)
+    return _normal(num_vars, D, acc)
 
 
 def poly_divides(f: MultiPoly, p: MultiPoly):
@@ -983,11 +1019,9 @@ def gaussian_rational_roots(f):
         f = f.divmod_by(x)[0]
     if f.degree() == 0:
         return roots, True
-    # clear denominators to Gaussian-integer coefficients
-    den = lcm(*[c._d for c in f.terms.values()])
+    # the Gaussian-integer numerators of the constant and leading terms
     ends = []
-    for c in (f.constant_term(), f.leading_term()[1]):
-        a, b = c._a * (den // c._d), c._b * (den // c._d)
+    for a, b in (f._num[0], f._num[max(f._num)]):
         if a * a + b * b > MAX_ROOT_SEARCH_NORM:
             raise ValueError(
                 "root search refused: the constant or leading coefficient has "

@@ -14,7 +14,8 @@ from .exactalg import (
     GaussianRational,
     LinearSpan,
     MultiPoly,
-    _grevlex_key,
+    _order,
+    _pack,
     _qi,
     det_adjugate,
     linear_combination,
@@ -72,7 +73,8 @@ def _weighted_exponents(degrees, total):
 
 def monomials_of_degree(num_vars, d):
     """All exponent tuples of total degree d, ascending grevlex."""
-    return sorted(_weighted_exponents([1] * num_vars, d), key=_grevlex_key)
+    key = _order(num_vars)
+    return sorted(_weighted_exponents([1] * num_vars, d), key=lambda e: key(_pack(e)))
 
 
 def _weighted_products(gens, degrees, d, num_vars):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactalg import (
+    FIELD_BITS,
     CertificationError,
     LinearSpan,
     MultiPoly,
@@ -64,11 +65,11 @@ class WeylGroup:
     A closure past `MAX_WEYL_ELEMENTS` is refused with a ValueError.
 
     `act(i, f)` is f(w x) for w = elements[i]. The group keeps, per
-    element, the image of every monomial it has been asked for: the
-    sparse columns of Sym^d(w). A new image of x^e of degree two or more
-    is the kept image of x^(e - u_j), for the last j with e_j > 0, times
-    that of x_j, the linear form of row j of w: one product per new
-    monomial.
+    element, the image of every monomial it has been asked for, keyed by
+    its packed exponent: the sparse columns of Sym^d(w). A new image of
+    x^e of degree two or more is the kept image of x^(e - u_j), for the
+    last j with e_j > 0, times that of x_j, the linear form of row j of
+    w: one product per new monomial.
 
     `kappa_inverse` is the inverse of the invariant form, inverted at
     most once per group: `weyl_group` passes the one it built the
@@ -122,24 +123,31 @@ class WeylGroup:
 
     def act(self, i, f):
         """f(w x) for the element w = elements[i], summed over the terms
-        c x^e of f from the kept images of the monomials x^e under w."""
+        of f from the kept images of their monomials under w, on the
+        integer store: no coefficient of f becomes a Q(i) scalar."""
+        D = f._den
         return linear_combination(
-            f.num_vars, [(c, self._image(i, e)) for e, c in f.terms.items()]
+            f.num_vars, [((a, b, D), self._image(i, e)) for e, (a, b) in f._num.items()]
         )
 
     def _image(self, i, e):
+        """The image under elements[i] of the monomial with packed
+        exponent e, kept by that key."""
         images = self._images[i]
         img = images.get(e)
         if img is None:
-            j = max((k for k, x in enumerate(e) if x), default=None)
-            if j is None:
+            if not e:
                 img = MultiPoly.one(self.dim)
-            elif sum(e) == 1:
-                img = MultiPoly.linear_form(self.elements[i][j])
             else:
-                unit = tuple(int(k == j) for k in range(self.dim))
-                rest = tuple(x - u for x, u in zip(e, unit))
-                img = self._image(i, rest) * self._image(i, unit)
+                s = FIELD_BITS * self.dim
+                # x_j for the last variable with a nonzero exponent: the
+                # top set bit below the degree lies in its field
+                j = ((e & (1 << s) - 1).bit_length() - 1) // FIELD_BITS
+                unit = (1 << s) + (1 << FIELD_BITS * j)
+                if e == unit:
+                    img = MultiPoly.linear_form(self.elements[i][j])
+                else:
+                    img = self._image(i, e - unit) * self._image(i, unit)
             images[e] = img
         return img
 

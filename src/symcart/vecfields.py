@@ -11,10 +11,12 @@ gradient action truncated by degree.
 from collections import namedtuple
 
 from .exactalg import (
+    FIELD_BITS,
     CertificationError,
     GaussianRational,
     MultiPoly,
     QI_ONE,
+    _normal,
     _qi,
     linear_combination,
     mat_det,
@@ -303,7 +305,10 @@ def _truncate(p, N):
     """The terms of p of total degree at most N."""
     if p.degree() <= N:
         return p
-    return MultiPoly(p.num_vars, {e: c for e, c in p.terms.items() if sum(e) <= N})
+    # the degree is the top field, so these are the packed exponents below
+    # that of degree N + 1
+    cut = N + 1 << FIELD_BITS * p.num_vars
+    return _normal(p.num_vars, p._den, {e: t for e, t in p._num.items() if e < cut})
 
 
 def jet_of(f, a_point, N):

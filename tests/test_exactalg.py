@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from _oracles import count_calls
 
 from symcart import cli, exactalg
 from symcart.exactalg import (
@@ -27,7 +28,8 @@ from symcart.exactalg import (
     solve_exact,
 )
 from symcart.invariants import build_chart
-from symcart.liesym import load_pair
+from symcart.liesym import catalog_pair, load_pair
+from symcart.vecfields import _truncate
 
 Qi = GaussianRational
 
@@ -102,6 +104,30 @@ def test_construction_and_verify_build_no_fraction(monkeypatch, capsys):
     assert all(c["passed"] for c in report["checks"])
     x = Qi(Fraction(3, 2), 1)
     assert (x.real, x.imag) == (Fraction(3, 2), 1) and repr(x) == "Qi(3/2, 1)"
+
+
+def test_store_arithmetic_builds_no_gaussian_rational(monkeypatch):
+    # polynomials whose terms were never read are multiplied, added,
+    # shifted, truncated and moved by the group on the integer store alone
+    weyl = build_chart(catalog_pair("sl3-so21")).weyl
+    f = MultiPoly.parse("(3/2 + 1i)*x0^2*x1 - 2/3*x1^3 + 1/2*x0 + 5", 2)
+    g = MultiPoly.parse("x0^2 - 1/3*x1^2", 2)
+    point = [Qi(1, 2), Qi(Fraction(-1, 3))]
+    made = count_calls(monkeypatch, "_qi")
+    inits = count_calls(monkeypatch, "GaussianRational.__init__")
+    h = (f * g + f - g) * f
+    moved = [weyl.act(i, h) for i in range(weyl.order)]
+    shifted = h.shift(point)
+    jet = _truncate(shifted, 3)
+    monkeypatch.undo()
+    assert made == [] and inits == []
+    touched = [f, g, h, shifted, jet, *moved]
+    assert all(p._terms is None for p in touched)
+    assert moved == [h.compose_linear(w) for w in weyl.elements]
+    assert shifted == h.compose(
+        [MultiPoly.variable(2, i) + MultiPoly.constant(2, x) for i, x in enumerate(point)]
+    )
+    assert jet.terms == {e: c for e, c in shifted.terms.items() if sum(e) <= 3}
 
 
 # ---------------------------------------------------------------- polynomials

@@ -5,7 +5,10 @@ their rendering and `exact_order` agree with the Fraction parts, and the
 Gaussian divisors from prime factors agree with a search over norms;
 polynomial rendering round-trips through the parser, single-divisor
 division reassembles its input, and the Q(i) root search finds exactly
-the rational roots of polynomials built from them. The scalar dot
+the rational roots of polynomials built from them. Packed exponents
+order as grevlex on tuples and carry nothing below the exponent bound,
+where a product is refused; the integer store is canonical, so equal
+polynomials reached by different routes have identical stores. The scalar dot
 product under `mat_mul` and `mat_vec` matches a term-by-term sum of
 Fraction pairs, the fused
 `linear_combination` matches a term-by-term Q(i) sum, the binomial
@@ -13,8 +16,14 @@ Fraction pairs, the fused
 Reynolds field match the accumulation loops they replace."""
 
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,10 +31,14 @@ from hypothesis import strategies as st
 from _oracles import gaussian_divisors_by_norms, render_scalar_by_fractions
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
+    EXPONENT_BOUND,
     MultiPoly,
     _dot,
     _gaussian_int_divisors,
+    _order,
+    _pack,
     _qi,
+    _unpack,
     exact_order,
     gaussian_rational_roots,
     linear_combination,
@@ -222,6 +235,120 @@ _num_vars = st.integers(1, 3)
 @given(_num_vars.flatmap(_polys))
 def test_parse_inverts_render(p):
     assert MultiPoly.parse(p.render(), p.num_vars) == p
+
+
+def _grevlex_key(e):
+    """Grevlex on exponent tuples, the reference for the packed key: the
+    total degree, then the smaller exponent of the last variable that
+    differs makes the larger monomial."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+# small exponents collide often; large ones put every field near half full
+_exponent = st.one_of(st.integers(0, 3), st.integers(0, EXPONENT_BOUND // 3 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.lists(st.tuples(*[_exponent] * n), min_size=1, max_size=12)
+    )
+)
+def test_packed_key_orders_as_grevlex(exponents):
+    n = len(exponents[0])
+    key = _order(n)
+    assert sorted(exponents, key=lambda e: key(_pack(e))) == sorted(
+        exponents, key=_grevlex_key
+    )
+    assert [_unpack(_pack(e), n) for e in exponents] == exponents
+
+
+@settings(max_examples=100, deadline=None)
+@given(_num_vars.flatmap(_polys))
+def test_terms_view_rebuilds_the_polynomial(p):
+    assert MultiPoly(p.num_vars, p.terms) == p
+    assert p._den > 0 and all(a or b for a, b in p._num.values())
+    assert gcd(p._den, *[x for t in p._num.values() for x in t]) == 1
+
+
+def _store(p):
+    return p.num_vars, p._den, p._num
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.tuples(
+            _polys(n), _polys(n), st.lists(_wide, min_size=n, max_size=n)
+        )
+    )
+)
+def test_equal_polynomials_have_identical_stores(case):
+    f, g, a = case
+    n = f.num_vars
+    h = f * g
+    routes = [
+        g * f,
+        MultiPoly.parse(h.render(), n),
+        MultiPoly(n, h.terms),
+        linear_combination(n, [(f, g)]),
+        linear_combination(n, [(Qi(3), h), (Qi(Fraction(-1, 2)), h * 4)]),
+        h.shift(a).shift([-x for x in a]),
+        (h + f) - f,
+        -(-h),
+    ]
+    for p in routes:
+        assert _store(p) == _store(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+            st.integers(1, EXPONENT_BOUND - 1),
+            st.integers(1, EXPONENT_BOUND - 1),
+        )
+    )
+)
+def test_products_carry_nothing_below_the_bound_and_raise_at_it(case):
+    n, i, j, a, b = case
+    p = MultiPoly.parse(f"x{i}^{a}", n)
+    q = MultiPoly.parse(f"x{j}^{b}", n)
+    if a + b >= EXPONENT_BOUND:
+        with pytest.raises(ValueError, match=f"reaches the exponent bound {EXPONENT_BOUND}$"):
+            p * q
+    else:
+        e = [0] * n
+        e[i] += a
+        e[j] += b
+        assert (p * q).terms == {tuple(e): Qi(1)}
+
+
+def test_the_product_degree_guard_holds_under_python_O():
+    # the guard is an explicit `if`, so stripping asserts keeps it
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from symcart.exactalg import EXPONENT_BOUND, MultiPoly\n"
+        "x = MultiPoly.parse(f'x0^{EXPONENT_BOUND // 2}', 1)\n"
+        "try:\n"
+        "    x * x\n"
+        "except ValueError as e:\n"
+        "    print(sys.flags.optimize, e)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.stdout == (
+        f"1 product degree {EXPONENT_BOUND} reaches the exponent bound "
+        f"{EXPONENT_BOUND}\n"
+    ), out.stderr
 
 
 @settings(max_examples=100, deadline=None)

@@ -36,6 +36,31 @@ def test_refused_input_is_a_value_error_and_exit_3(text, capsys):
     assert "Traceback" not in err
 
 
+def test_exponent_at_the_packing_bound_is_refused(capsys):
+    # the packed store holds degrees below EXPONENT_BOUND: the reader and
+    # the constructor refuse a term at it, naming the bound, and the
+    # command line exits 3 before the field's own degree bound of 32
+    bound = exactalg.EXPONENT_BOUND
+    message = f"^degree {bound} reaches the exponent bound {bound}$"
+    for make in (
+        lambda: MultiPoly.parse(f"x0^{bound}", 1),
+        lambda: MultiPoly.parse(f"x0^{bound - 1}*x1", 2),
+        lambda: MultiPoly(1, {(bound,): 1}),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
+    assert MultiPoly.parse(f"x0^{bound - 1}", 1).degree() == bound - 1
+    for text, message in (
+        ("x0^70000", "degree 70000 reaches the exponent bound"),
+        ("x0^3201", "above the bound 32"),
+    ):
+        field = json.dumps([text])
+        code = cli.main(["decompose", "--pair", "sl2-so2", "--field", field])
+        out, err = capsys.readouterr()
+        assert code == 3 and "Traceback" not in err
+        assert message in json.loads(out)["error"]["message"]
+
+
 def test_reader_messages():
     for text, message in (
         ("  ", "empty polynomial"),
