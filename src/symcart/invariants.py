@@ -112,30 +112,16 @@ def _phi_in_generators(chart):
     return MultiPoly(chart.rank, dict(zip(exponents, sol.particular)))
 
 
-def invariant_basis(weyl, d):
-    """Basis of the degree-d invariants: the independent Reynolds images
-    of the degree-d monomials, scanned in ascending grevlex order."""
-    n = weyl.dim
-    monos = monomials_of_degree(n, d)
-    span = LinearSpan(len(monos))
-    basis = []
-    for e in monos:
-        img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
-        if span.add(img.coefficient_vector(monos)):
-            basis.append(img)
-    return basis
-
-
 def invariant_generators(weyl):
     """Degree-by-degree search for a complete set of basic invariants.
 
-    Monomial averages are scanned in ascending grevlex order; an average
-    is adopted when it is new modulo products of the generators already
-    found and the averages before it.  Averages that depend on earlier
-    ones never change that span, so scanning the invariant basis adopts
-    the same generators.  The result is certified by its count and by the
-    degree product against the group order; `Chart` certifies the
-    Jacobian.
+    Each degree has one span, seeded with the products of the generators
+    already found. The Reynolds image of every monomial of the degree is
+    added to it in ascending grevlex order, and an image is adopted when
+    it enlarges the span. An image that depends on earlier images already
+    lies in the span, so only the new invariants modulo the products are
+    adopted. The result is certified by its count and by the degree
+    product against the group order; `Chart` certifies the Jacobian.
     """
     n = weyl.dim
     adopted = []
@@ -146,7 +132,8 @@ def invariant_generators(weyl):
         span = LinearSpan(len(monos))
         for _, prod in _weighted_products(adopted, degrees, d, n):
             span.add(prod.coefficient_vector(monos))
-        for img in invariant_basis(weyl, d):
+        for e in monos:
+            img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
             if not span.add(img.coefficient_vector(monos)):
                 continue
             _, lc = img.leading_term()
@@ -166,7 +153,13 @@ def invariant_generators(weyl):
 
 
 def phi_from_roots(system):
-    """Product of the reduced restricted roots, as a polynomial on a."""
+    """Product of the reduced restricted roots, as a polynomial on a.
+
+    phi is invariant under W with no check of its own: `weyl_group`
+    certifies that each generator g maps the root set onto itself with
+    multiplicities, and g is linear, so it also maps the reduced roots
+    (those whose half is not a root), phi's linear factors, onto
+    themselves."""
     phi = MultiPoly.one(system.rank)
     for r in system.roots:
         if r.is_reduced:
@@ -254,16 +247,15 @@ class Chart:
 def build_chart(pair, seed=0):
     """Assemble the invariant chart of a pair from its restricted roots.
 
-    The chart is seed-free. `seed` is accepted and ignored only because
-    the benchmark scripts `perfbench/run.py` and `perfbench/record.py`
-    pass one.
+    phi's invariance is certified by `weyl_group`'s root permutation (see
+    `phi_from_roots`). The chart is seed-free. `seed` is accepted and
+    ignored only because the benchmark scripts `perfbench/run.py` and
+    `perfbench/record.py` pass one.
     """
     system = restricted_roots(pair)
     weyl = weyl_group(system, pair.kappa_on_cartan())
     generators, degrees = invariant_generators(weyl)
     phi = phi_from_roots(system)
-    if not is_invariant(phi, weyl):
-        raise CertificationError("phi_invariant", {"phi": phi.render()})
     chart = Chart(generators, degrees, weyl, phi)
     chart.system = system
     return chart

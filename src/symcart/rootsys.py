@@ -53,16 +53,18 @@ RestrictedRootSystem = namedtuple("RestrictedRootSystem", "roots rank zero_dim")
 
 
 class WeylGroup:
-    """Finite matrix group on a_C, generated by root reflections.
+    """Finite matrix group on a_C, generated by reflections.
 
-    `elements` is the closure of `generators` under multiplication, in
-    the `exact_order` of their entries row by row, and `inverses` runs
-    parallel to it: a generator g with g g = I is its own inverse (every
-    caller passes reflections) and any other is inverted once, and the
-    closure records
-    (w g)^{-1} = g^{-1} w^{-1} beside each new product. `inverse_index`
-    and `generator_index` locate w^{-1} and each generator in `elements`.
-    A closure past `MAX_WEYL_ELEMENTS` is refused with a ValueError.
+    Every generator is an involution and is its own inverse: `weyl_group`
+    certifies each reflection with `reflection_involution`, a local group
+    W_a takes its generators from W, and `local_chart`'s b-blocks are
+    blocks of those, certified block diagonal. `elements` is the closure
+    of `generators` under multiplication, in the `exact_order` of their
+    entries row by row, and `inverses` runs parallel to it: the closure
+    records (w g)^{-1} = g w^{-1} beside each new product.
+    `inverse_index` and `generator_index` locate w^{-1} and each
+    generator in `elements`. A closure past `MAX_WEYL_ELEMENTS` is
+    refused with a ValueError.
 
     `act(i, f)` is f(w x) for w = elements[i]. The group keeps, per
     element, the image of every monomial it has been asked for, keyed by
@@ -73,18 +75,17 @@ class WeylGroup:
 
     `kappa_inverse` is the inverse of the invariant form, inverted at
     most once per group: `weyl_group` passes the one it built the
-    reflections from, and a group built without one inverts the form on
-    first use.
+    reflections from, a local group W_a passes W's, and a group built
+    without one inverts the form on first use.
     """
 
     def __init__(self, dim, generators, kappa_on_a, kappa_inverse=None):
         ident = mat_identity(dim)
-        ginvs = [g if mat_mul(g, g) == ident else mat_inverse(g) for g in generators]
         closure = {_key(ident): (ident, ident)}
         todo = [(ident, ident)]
         while todo:
             w, winv = todo.pop()
-            for g, ginv in zip(generators, ginvs):
+            for g in generators:
                 p = mat_mul(w, g)
                 k = _key(p)
                 if k not in closure:
@@ -93,7 +94,7 @@ class WeylGroup:
                             "Weyl closure exceeded the safety bound of "
                             f"{MAX_WEYL_ELEMENTS} elements"
                         )
-                    closure[k] = (p, mat_mul(ginv, winv))
+                    closure[k] = (p, mat_mul(g, winv))
                     todo.append(closure[k])
         keys = list(closure)
         order = exact_order([[x for row in closure[k][0] for x in row] for k in keys])
@@ -101,7 +102,6 @@ class WeylGroup:
         index = {k: i for i, k in enumerate(keys)}
         self.dim = dim
         self.generators = generators
-        self.generator_inverses = ginvs
         self.elements = [closure[k][0] for k in keys]
         self.inverses = [closure[k][1] for k in keys]
         self.inverse_index = [index[_key(winv)] for winv in self.inverses]
@@ -125,6 +125,8 @@ class WeylGroup:
         """f(w x) for the element w = elements[i], summed over the terms
         of f from the kept images of their monomials under w, on the
         integer store: no coefficient of f becomes a Q(i) scalar."""
+        if f.num_vars != self.dim:
+            raise ValueError("variable count mismatch")
         D = f._den
         return linear_combination(
             f.num_vars, [((a, b, D), self._image(i, e)) for e, (a, b) in f._num.items()]
@@ -150,9 +152,6 @@ class WeylGroup:
                     img = self._image(i, e - unit) * self._image(i, unit)
             images[e] = img
         return img
-
-    def contains(self, m):
-        return _key(m) in self._keys
 
     def __eq__(self, other):
         # the same elements make the same group, built once or twice
@@ -233,23 +232,22 @@ def _joint_eigenspaces(ads):
     return roots, zero_dim
 
 
-def weyl_group(roots, kappa_on_a, kappa_inverse=None):
+def weyl_group(system, kappa_on_a):
     """The group generated by the root reflections s_a built from the
-    kappa-induced form.
+    kappa-induced form, one reflection per distinct root line, in the
+    order of `system.roots`.
 
-    `roots` is a `RestrictedRootSystem` or a list of `RestrictedRoot`.
-    The form is inverted here unless its inverse is passed in, and the
-    group keeps it as `kappa_inverse`.
-    Each generating reflection is checked to permute the roots with their
-    multiplicities; products of such permutations are permutations, so
-    that certifies every element.
+    The form is inverted here once, and the group keeps it as
+    `kappa_inverse`. Each generating reflection is checked to be an
+    involution and to permute the roots with their multiplicities;
+    products of such permutations are permutations, so that certifies
+    every element.
     """
-    root_list = roots.roots if isinstance(roots, RestrictedRootSystem) else roots
     dim = len(kappa_on_a)
-    kinv = mat_inverse(kappa_on_a) if kappa_inverse is None else kappa_inverse
+    kinv = mat_inverse(kappa_on_a)
     generators = []
     seen_gen = set()
-    for r in root_list:
+    for r in system.roots:
         alpha = _vec(r.functional)
         t_alpha = mat_vec(kinv, alpha)
         norm = _dot(None, alpha, t_alpha)
@@ -273,12 +271,12 @@ def weyl_group(roots, kappa_on_a, kappa_inverse=None):
             generators.append(S)
 
     mults = {}
-    for r in root_list:
+    for r in system.roots:
         k = _key(r.functional)
         mults[k] = mults.get(k, 0) + r.multiplicity
     for g in generators:
         gt = mat_transpose(g)
-        for r in root_list:
+        for r in system.roots:
             image = mat_vec(gt, r.functional)
             if mults.get(_key(image)) != mults[_key(r.functional)]:
                 raise CertificationError(
@@ -293,19 +291,24 @@ def weyl_group(roots, kappa_on_a, kappa_inverse=None):
 
 
 def local_subsystem(system, weyl, a_point):
-    """Roots vanishing at the point, the subgroup they generate, and the
-    induced split a = b + c into the root span and the fixed space."""
+    """Roots vanishing at the point, the isotropy group W_a, and the
+    induced split a = b + c into the root span and the fixed space.
+
+    W_a is generated by the reflections of W that fix the point
+    (Steinberg; Humphreys, *Reflection Groups and Coxeter Groups*,
+    Thm 1.12(c)), and s_alpha fixes it exactly when alpha vanishes
+    there. So W_a takes the generators of W that fix the point, in W's
+    order, with W's form and its inverse. A point of the wrong length is
+    refused with a ValueError.
+    """
     pt = _vec(a_point)
     dim = weyl.dim
+    if len(pt) != dim:
+        raise ValueError("point dimension mismatch")
     roots_a = [r for r in system.roots if _dot(None, r.functional, pt).is_zero()]
     kinv = weyl.kappa_inverse
-    W_a = weyl_group(roots_a, weyl.kappa_on_a, kinv)
-    # W_a is the closure of its generators, so checking them covers W_a
-    for g in W_a.generators:
-        if not weyl.contains(g):
-            raise CertificationError(
-                "local_group_in_weyl", {"matrix": render_matrix(g)}
-            )
+    fixing = [g for g in weyl.generators if mat_vec(g, pt) == pt]
+    W_a = WeylGroup(dim, fixing, weyl.kappa_on_a, kinv)
 
     b_span = LinearSpan(dim)
     for r in roots_a:
@@ -326,7 +329,7 @@ def local_subsystem(system, weyl, a_point):
             "local_split", {"b_dim": len(b_basis), "c_dim": len(c_basis), "dim": dim}
         )
     for g in W_a.generators:
-        for v in [pt] + c_basis:
+        for v in c_basis:
             if mat_vec(g, v) != v:
                 raise CertificationError(
                     "local_group_fixes",

@@ -247,3 +247,57 @@ def count_calls(monkeypatch, name):
         ):
             monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def sl_so_pair(n):
+    """sl(n, R)/so(n) through `liesym._pair_from_matrices`: h is spanned by
+    E_ij - E_ji and q by E_ij + E_ji for i < j, then E_kk - E_(k+1)(k+1);
+    the Cartan subspace is spanned by those diagonal q vectors."""
+    from symcart import liesym
+
+    def unit(i, j):
+        m = [[0] * n for _ in range(n)]
+        m[i][j] = 1
+        return m
+
+    def combine(a, b, sign):
+        return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    h = [combine(unit(i, j), unit(j, i), -1) for i, j in pairs]
+    q = [combine(unit(i, j), unit(j, i), 1) for i, j in pairs]
+    q += [combine(unit(k, k), unit(k + 1, k + 1), -1) for k in range(n - 1)]
+    dim = len(h) + len(q)
+    cartan = [
+        [1 if t == len(h) + len(pairs) + k else 0 for t in range(dim)]
+        for k in range(n - 1)
+    ]
+    return liesym._pair_from_matrices(f"sl{n}-so{n}", h, q, cartan)
+
+
+def pair_document(pair):
+    """The definition document of a pair, as `load_pair` reads it: every
+    nonzero bracket c[i][j][k] with i < j, and sigma, kappa and the Cartan
+    basis as rendered scalars."""
+    from symcart.exactalg import render_scalar
+
+    c = pair.algebra.c
+    n = pair.algebra.dim
+
+    def rows(m):
+        return [[render_scalar(x) for x in row] for row in m]
+
+    return {
+        "name": pair.name,
+        "dim": n,
+        "brackets": [
+            [i, j, k, render_scalar(c[i][j][k])]
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in range(n)
+            if not c[i][j][k].is_zero()
+        ],
+        "sigma": rows(pair.sigma),
+        "kappa": rows(pair.kappa),
+        "cartan": rows(pair.cartan.basis),
+    }

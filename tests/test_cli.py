@@ -25,7 +25,7 @@ import symcart
 from symcart import cli, rootsys
 from symcart.exactalg import CertificationError, GaussianRational as Qi, MultiPoly
 from symcart.liesym import MAX_PAIR_DIM
-from symcart.rootsys import RestrictedRoot, weyl_group
+from symcart.rootsys import RestrictedRoot, RestrictedRootSystem, weyl_group
 
 CATALOG_NAMES = ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal"]
 
@@ -130,7 +130,7 @@ def test_permutation_check_reports_a_non_permuting_generator():
     # {-1, -2}: not a permutation of the roots
     roots = [RestrictedRoot([Qi(1)], 1), RestrictedRoot([Qi(2)], 1)]
     with pytest.raises(CertificationError) as info:
-        weyl_group(roots, [[Qi(1)]])
+        weyl_group(RestrictedRootSystem(roots, 1, 0), [[Qi(1)]])
     assert info.value.name == "weyl_permutes_roots"
     assert info.value.witness == {"matrix": [["-1"]], "functional": ["1"]}
 
@@ -603,16 +603,6 @@ MUTANTS = {
         "setattr(m, 'mat_det', lambda M: M[0][0] * 0)",
         {"jacobian_det": "(0)"},
     ),
-    "phi_invariant": (
-        ["phi", "--pair", "sl2-so2"],
-        "import symcart.invariants as m\n"
-        "phi_from_roots = m.phi_from_roots\n"
-        "def tilted(system):\n"
-        "    phi = phi_from_roots(system)\n"
-        "    return phi * m.MultiPoly.variable(phi.num_vars, 0)\n"
-        "setattr(m, 'phi_from_roots', tilted)",
-        {"phi": "(-4)*x0^3"},
-    ),
     "root_bookkeeping": (
         ["roots", "--pair", "sl2-so2"],
         "import symcart.rootsys as m\n"
@@ -632,9 +622,7 @@ def _check_failure_report(code, report, name, witness):
     assert report["checks"] == [{"name": name, "passed": False, "witness": witness}]
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_certification_failure_is_reported(name, capsys, monkeypatch):
-    argv, source, witness = MUTANTS[name]
+def _check_mutant(argv, source, name, witness, capsys, monkeypatch):
     exec(source, {"setattr": monkeypatch.setattr})
     code, report = run_json(argv, capsys)
     _check_failure_report(code, report, name, witness)
@@ -650,6 +638,29 @@ def test_certification_failure_is_reported(name, capsys, monkeypatch):
         env=_child_env(),
     )
     _check_failure_report(proc.returncode, json.loads(proc.stdout), name, witness)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_certification_failure_is_reported(name, capsys, monkeypatch):
+    argv, source, witness = MUTANTS[name]
+    _check_mutant(argv, source, name, witness, capsys, monkeypatch)
+
+
+def test_non_invariant_phi_fails_the_gram_identity(capsys, monkeypatch):
+    # phi's invariance follows from the certified root permutation, so a
+    # phi that is not the root product (here times x0) has no check of
+    # its own: the Gram determinant is no constant multiple of it
+    source = (
+        "import symcart.invariants as m\n"
+        "phi_from_roots = m.phi_from_roots\n"
+        "def tilted(system):\n"
+        "    phi = phi_from_roots(system)\n"
+        "    return phi * m.MultiPoly.variable(phi.num_vars, 0)\n"
+        "setattr(m, 'phi_from_roots', tilted)"
+    )
+    witness = {"gram_det": "(2)*x0^2", "phi": "(-4)*x0^3"}
+    argv = ["phi", "--pair", "sl2-so2"]
+    _check_mutant(argv, source, "gram_identity", witness, capsys, monkeypatch)
 
 
 def _certification_sites():

@@ -5,21 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import rand_poly, weighted_partition_count
+from _oracles import rand_poly, sl_so_pair, weighted_partition_count
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, MultiPoly, mat_vec
 from symcart.invariants import (
     build_chart,
     gradient,
-    invariant_basis,
     invariant_generators,
+    is_invariant,
     local_chart,
     phi_from_roots,
     reynolds,
 )
 from symcart.liesym import catalog, catalog_pair, load_pair
 from symcart.rootsys import restricted_roots, weyl_group
-from symcart.vecfields import PolyVectorField, reynolds_field
+from symcart.vecfields import PolyVectorField, reynolds_field, solomon_decompose
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,7 +76,6 @@ def test_generators_sl3_degrees_and_molien_oracle():
             img = reynolds(weyl, MultiPoly(2, {e: Qi(1)}))
             span.add(img.coefficient_vector(monos))
         assert span.dim == weighted_partition_count((2, 3), d)
-        assert len(invariant_basis(weyl, d)) == weighted_partition_count((2, 3), d)
 
 
 def _monomials(nvars, d):
@@ -299,9 +298,55 @@ def test_local_gram_identity_at_slice_points():
             assert loc.gram_constant == Qi(c), (name, pt)
 
 
-def _fixture_weyl(path):
-    pair = load_pair(json.loads(path.read_text()))
-    return weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
+FIXTURES = {
+    "sl2-so2-cubed": ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json",
+    "sl4-so4": ROOT / "tests" / "fixtures" / "sl4-so4.json",
+}
+CHART_PAIRS = ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", *FIXTURES]
+
+
+def _pair_named(name):
+    path = FIXTURES.get(name)
+    if path is None:
+        return catalog_pair(name)
+    return load_pair(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("name", CHART_PAIRS)
+def test_every_generator_fixes_phi(name):
+    # phi's invariance is certified by the root permutation alone; here
+    # each generator is composed into phi
+    chart = build_chart(_pair_named(name))
+    for g in chart.weyl.generators:
+        assert chart.phi.compose_linear(g) == chart.phi, (name, g)
+
+
+def test_group_action_refuses_a_polynomial_in_other_variables():
+    chart = build_chart(catalog_pair("sl3-so21"))
+    f = MultiPoly.variable(3, 0)
+    X = PolyVectorField([f, f, f])
+    for call in (
+        lambda: is_invariant(f, chart.weyl),
+        lambda: reynolds(chart.weyl, f),
+        lambda: solomon_decompose(X, chart),
+    ):
+        with pytest.raises(ValueError, match="^variable count mismatch$"):
+            call()
+
+
+def test_local_chart_refuses_a_point_of_the_wrong_length():
+    chart = build_chart(catalog_pair("sl3-so21"))
+    with pytest.raises(ValueError, match="^point dimension mismatch$"):
+        local_chart(chart, [1])
+
+
+def test_sl5_so5_chart_from_code():
+    # rank 4: |W| = 5!, the type A4 degrees and 20 roots
+    chart = build_chart(sl_so_pair(5))
+    assert chart.degrees == [2, 3, 4, 5]
+    assert chart.weyl.order == 120
+    assert len(chart.system.roots) == 20
+    assert chart.gram_constant == Qi(Fraction(4, 5))
 
 
 def _count_products(monkeypatch):
@@ -323,20 +368,13 @@ def _kept_images(weyl):
     return sum(len(images) for images in weyl._images)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", "sl2-so2-cubed", "sl4-so4"],
-)
+@pytest.mark.parametrize("name", CHART_PAIRS)
 def test_cached_action_matches_plain_composition(name, monkeypatch):
     # f(w x) read from the group's kept monomial images equals f composed
     # with the linear forms of w's rows, whether the images are new or
     # kept; a new image costs at most one product, a kept one none
-    if name == "sl2-so2-cubed":
-        weyl = _fixture_weyl(ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json")
-    elif name == "sl4-so4":
-        weyl = _fixture_weyl(ROOT / "tests" / "fixtures" / "sl4-so4.json")
-    else:
-        weyl = _setup(name)[2]
+    pair = _pair_named(name)
+    weyl = weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
     rng = random.Random(name)
     polys = [rand_poly(rng, weyl.dim, d) for d in range(6)]
     expected = [

@@ -1,9 +1,11 @@
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from _oracles import count_calls
+from _oracles import count_calls, pair_document, sl_so_pair
 
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, mat_det, mat_vec
@@ -369,3 +371,8 @@ def test_building_a_pair_calls_no_scalar_multiplication(monkeypatch):
     pair = catalog_pair.__wrapped__("sl3-so21")
     assert pair.algebra.dim == 8 and pair.cartan.rank == 2
     assert (len(products), len(reflected)) == (0, 0)
+
+
+def test_sl_so_builder_reproduces_the_sl4_so4_fixture():
+    path = Path(__file__).parent / "fixtures" / "sl4-so4.json"
+    assert pair_document(sl_so_pair(4)) == json.loads(path.read_text())
