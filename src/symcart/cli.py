@@ -190,7 +190,8 @@ def _parse_json_array(raw, what, expected_len):
             f"{what} must have {expected_len} entries, got {len(data)}"
         )
     for entry in data:
-        if not isinstance(entry, (str, int)):
+        # a JSON string or integer only: true and false are Python ints too
+        if type(entry) not in (str, int):
             raise InputError(f"{what} entries must be strings or integers")
     return data
 

@@ -137,13 +137,22 @@ def reynolds_field(weyl, X):
     )
 
 
+def _gram_images(coeffs, chart):
+    """Generator images X(p_j) = sum_i coeff_i A_ij of the field
+    X = sum coeff_i grad(p_i), for the chart's Gram matrix A."""
+    return mat_vec(mat_transpose(chart.gram_matrix), coeffs)
+
+
 def _cramer(chart, images):
     """Coefficients R_i with X = sum R_i grad(p_i), from the images
     X(p_j), or NotLiftable at the first inexact division.
 
     X(p_j) = sum_i R_i A_ij for the Gram matrix A, and the chart
     certified adj(A) A = det(A) I with det(A) = c phi, so R_i is
-    psi_i / phi for psi_i = sum_j adj_ji X(p_j) / c.
+    psi_i / phi for psi_i = sum_j adj_ji X(p_j) / c. Once every division
+    is exact, A^T R = images is checked here, the one reconstruction
+    certificate of the chart calculus: `solomon_decompose`,
+    `lift_derivation` and `transition_matrix` rely on it.
     """
     cinv = Qi(1) / chart.gram_constant
     quotients = []
@@ -153,6 +162,11 @@ def _cramer(chart, images):
         if not r.is_zero():
             return NotLiftable(i, psi, r)
         quotients.append(q)
+    for j, (got, img) in enumerate(zip(_gram_images(quotients, chart), images)):
+        if got != img:
+            raise CertificationError(
+                "reconstruction_exact", {"index": j, "difference": (got - img).render()}
+            )
     return quotients
 
 
@@ -161,24 +175,21 @@ def solomon_decompose(X, chart):
 
     Solomon's theorem makes the invariant fields a free module over the
     invariants with basis grad(p_i), so the Cramer quotients divide
-    exactly; the result is certified by rebuilding X from them.
+    exactly. `_cramer` certifies that Y = sum R_i grad(p_i) has the
+    images of X, so J (X - Y) = 0 for the Jacobian J of the generators;
+    the chart certified det J nonzero, so Y = X with no rebuild. The R_i
+    are invariant because R is the unique solution of A^T R = images
+    (det A = c phi is nonzero) and A and the images are invariant, so
+    w.R solves the same system for every group element w.
     """
     if not is_invariant_field(X, chart.weyl):
         raise ValueError("field is not invariant under the chart group")
     R = _cramer(chart, [X.apply_to(p) for p in chart.generators])
     if isinstance(R, NotLiftable):
-        witness = {"index": R.index, "remainder": R.remainder.render()}
-    else:
-        rebuilt = field_from_coefficients(R, chart)
-        if rebuilt == X:
-            return R
-        witness = {
-            "difference": [
-                (p - q).render()
-                for p, q in zip(rebuilt.components, X.components)
-            ]
-        }
-    raise CertificationError("reconstruction_exact", witness)
+        raise CertificationError(
+            "solomon_divisible", {"index": R.index, "remainder": R.remainder.render()}
+        )
+    return R
 
 
 def field_from_coefficients(coeffs, chart):
@@ -188,10 +199,8 @@ def field_from_coefficients(coeffs, chart):
 
 
 def induce_derivation(coeffs, chart):
-    """Generator images of the derivation along sum coeff_i grad(p_i),
-    X(p_j) = sum_i coeff_i A_ij for the chart's Gram matrix A."""
-    images = mat_vec(mat_transpose(chart.gram_matrix), coeffs)
-    return InvariantDerivation(images, chart.weyl)
+    """Generator images of the derivation along sum coeff_i grad(p_i)."""
+    return InvariantDerivation(_gram_images(coeffs, chart), chart.weyl)
 
 
 def _check_images(D, chart):
@@ -218,45 +227,28 @@ def lift_derivation(D, chart):
     """Coefficients phi_i with D = sum phi_i grad(p_i), or NotLiftable.
 
     The adjugate of the Gram matrix solves the defining system exactly;
-    divisibility of each entry by the root product decides liftability.
+    divisibility of each entry by the root product decides liftability,
+    and `_cramer` certifies that the quotients rebuild the images. They
+    are invariant with no test of their own: A is nonsingular (the chart
+    certified det A = c phi with c nonzero), A is invariant and
+    `InvariantDerivation` certified the images invariant, so for every
+    group element w, w.phi solves the same system and equals phi.
     """
     _check_images(D, chart)
-    phis = _cramer(chart, D.images)
-    if isinstance(phis, NotLiftable):
-        return phis
-    X = field_from_coefficients(phis, chart)
-    for j, (img, p) in enumerate(zip(D.images, chart.generators)):
-        if X.apply_to(p) != img:
-            raise CertificationError("lift_reconstructs", {"index": j})
-    for i, f in enumerate(phis):
-        if not is_invariant(f, chart.weyl):
-            raise CertificationError(
-                "lift_invariant", {"index": i, "coefficient": f.render()}
-            )
-    return phis
+    return _cramer(chart, D.images)
 
 
 def transition_matrix(chart, local):
     """Matrix m with grad(p_j) = sum_i m_ij grad(q_i) over the local
     chart, and its determinant.
 
-    Each column is a Solomon decomposition, which certifies that it
-    rebuilds grad(p_j); the entries are certified invariant under the
-    local group and det m nonzero at the base point.
+    Each column is a Solomon decomposition over the local chart, which
+    certifies that it rebuilds grad(p_j). `solomon_decompose` certified
+    each grad(p_j) invariant under the local group, so the entries are
+    invariant by the uniqueness argument in its docstring. det m is
+    certified nonzero at the base point.
     """
-    ell = chart.rank
-    m = [[None] * ell for _ in range(ell)]
-    for j in range(ell):
-        col = solomon_decompose(chart.gradients[j], local)
-        for i in range(ell):
-            m[i][j] = col[i]
-    for i in range(ell):
-        for j in range(ell):
-            if not is_invariant(m[i][j], local.weyl):
-                raise CertificationError(
-                    "transition_entries_invariant",
-                    {"row": i, "column": j, "entry": m[i][j].render()},
-                )
+    m = mat_transpose([solomon_decompose(g, local) for g in chart.gradients])
     det = mat_det(m)
     if det.evaluate(local.base_point).is_zero():
         raise CertificationError(

@@ -484,6 +484,22 @@ def test_zero_denominator_is_input_error(argv, capsys):
     assert "zero denominator" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--pair", "sl2-so2", "--field", "[true]"],
+        ["slice", "--pair", "sl2-so2", "--point", "[true]"],
+        ["lift", "--pair", "sl2-so2", "--derivation", "[true]"],
+    ],
+    ids=["field", "point", "derivation"],
+)
+def test_json_booleans_are_input_errors(argv, capsys):
+    code, report = run_json(argv, capsys)
+    assert code == 3
+    what = argv[3][2:]
+    assert report["error"]["message"] == f"{what} entries must be strings or integers"
+
+
 def test_output_is_byte_identical_across_runs(capsys):
     _, first = run(["verify", "--pair", "sl2-so2", "--seed", "5"], capsys)
     _, second = run(["verify", "--pair", "sl2-so2", "--seed", "5"], capsys)
@@ -663,6 +679,39 @@ def test_non_invariant_phi_fails_the_gram_identity(capsys, monkeypatch):
     _check_mutant(argv, source, "gram_identity", witness, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (
+            ["decompose", "--pair", "sl3-so21", "--field", '["x0","x1"]'],
+            {"index": 0, "difference": "(2)*x0^2 + (-2/3)*x1^2"},
+        ),
+        (
+            ["lift", "--pair", "sl2-so2", "--derivation", '["x0^2"]'],
+            {"index": 0, "difference": "(1)*x0^2"},
+        ),
+    ],
+    ids=["decompose", "lift"],
+)
+def test_wrong_exact_quotient_fails_the_reconstruction(
+    argv, witness, capsys, monkeypatch
+):
+    # doubling psi_0 inside `_cramer` keeps every division exact, so only
+    # its one A^T R = images check can see that the quotient is wrong
+    source = (
+        "import sys\n"
+        "import symcart.vecfields as m\n"
+        "mat_vec = m.mat_vec\n"
+        "def doubled(M, v):\n"
+        "    out = mat_vec(M, v)\n"
+        "    if sys._getframe(1).f_code.co_name == '_cramer':\n"
+        "        out[0] = out[0] * 2\n"
+        "    return out\n"
+        "setattr(m, 'mat_vec', doubled)"
+    )
+    _check_mutant(argv, source, "reconstruction_exact", witness, capsys, monkeypatch)
+
+
 def _certification_sites():
     """{check name: ["file:line"]} of every `raise CertificationError`
     in the package; no check may be an assert or a bare AssertionError
@@ -698,7 +747,6 @@ def test_every_certification_has_one_raise_site():
         "reconstruction_exact",
         "factorization_exact",
         "local_value_nonzero",
-        "transition_entries_invariant",
         "transition_det_nonzero",
     } <= set(sites)
     # A adj(A) = det(A) I is certified by every determinant, from the last
@@ -707,6 +755,8 @@ def test_every_certification_has_one_raise_site():
     assert sites["adjugate_identity"][0].startswith("exactalg.py:")
     # every chart, global or local, certifies its Jacobian where it is built
     assert sites["jacobian_nonzero"][0].startswith("invariants.py:")
+    # the one reconstruction certificate of the chart calculus, in _cramer
+    assert sites["reconstruction_exact"][0].startswith("vecfields.py:")
 
 
 # checks the CLI renders as certified under a name other than that of the
@@ -717,6 +767,7 @@ CERTIFIED_ALIASES = {
     "slice_factorization": "factorization_exact",
     "transition_invertible": "transition_det_nonzero",
     "transition_reconstructs": "reconstruction_exact",
+    "transition_entries_invariant": "reconstruction_exact",
     "structure_valid": None,
 }
 

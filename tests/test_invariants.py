@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from _oracles import rand_poly, sl_so_pair, weighted_partition_count
+from symcart import cli
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, MultiPoly, mat_vec
 from symcart.invariants import (
@@ -319,6 +320,21 @@ def test_every_generator_fixes_phi(name):
     chart = build_chart(_pair_named(name))
     for g in chart.weyl.generators:
         assert chart.phi.compose_linear(g) == chart.phi, (name, g)
+
+
+def test_local_generators_are_invariant_under_the_local_group():
+    # local_chart trusts the frame split and the Reynolds images of the
+    # b-block group; here each local generator is composed with every
+    # element of W_a
+    cases = dict(cli._SLICE_POINTS)
+    cases["sl4-so4"] = [[0, 0, 0], [1, 0, 1], [-1, -2, 1]]
+    for name, points in cases.items():
+        chart = build_chart(_pair_named(name))
+        for pt in points:
+            loc = local_chart(chart, [Qi(v) for v in pt])
+            for q in loc.generators:
+                for w in loc.weyl.elements:
+                    assert q.compose_linear(w) == q, (name, pt)
 
 
 def test_group_action_refuses_a_polynomial_in_other_variables():

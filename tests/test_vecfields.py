@@ -357,6 +357,10 @@ def test_stable_iff_liftable():
             flag, _ = ideal_stable(D, chart)
             lifted = lift_derivation(D, chart)
             assert flag == (not isinstance(lifted, NotLiftable))
+            if flag:
+                # lift_derivation has no invariance test of its own
+                for c in lifted:
+                    assert average_poly(c, weyl) == c
 
 
 def test_transition_identity_at_origin():
