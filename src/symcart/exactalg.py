@@ -19,9 +19,11 @@ read. Every sum of polynomial products goes through one kernel,
 over one common denominator and normalises once, with one gcd. Its
 callers are `MultiPoly` sums, differences, scalar multiples, `__mul__`
 and `compose`, the polynomial `mat_mul`, `mat_vec` and the traces of a
-polynomial `det_adjugate`, `WeylGroup.act`, `invariants.reynolds`, and
-in `vecfields` the field action `apply_to` (the jet gradient action
-included), the pushed and averaged fields, `jet_mul` and `jet_invert`.
+polynomial `det_adjugate`, `WeylGroup.act` and the group's kept
+averages (`average`, `field_average`), `invariants.reynolds`, and in
+`vecfields` the field action `apply_to` (the jet gradient action
+included), the pushed field, `reynolds_field`, `jet_mul` and
+`jet_invert`.
 `MultiPoly.shift`, behind `jet_of` and `Jet.polynomial`, expands
 (x + a)^k binomially on the same integer numerators.
 

@@ -16,7 +16,6 @@ from .exactalg import (
     MultiPoly,
     _order,
     _pack,
-    _qi,
     det_adjugate,
     linear_combination,
     mat_det,
@@ -35,10 +34,14 @@ Qi = GaussianRational
 
 
 def reynolds(weyl, f):
-    """Group average of f, the exact projector onto invariants."""
-    scale = _qi(1, 0, weyl.order)
+    """Group average of f, the exact projector onto invariants: one sum
+    over the terms of f of the group's kept monomial averages, on the
+    integer store as in `WeylGroup.act`."""
+    if f.num_vars != weyl.dim:
+        raise ValueError("variable count mismatch")
+    D = f._den
     return linear_combination(
-        f.num_vars, [(scale, weyl.act(i, f)) for i in range(weyl.order)]
+        f.num_vars, [((a, b, D), weyl.average(e)) for e, (a, b) in f._num.items()]
     )
 
 
@@ -116,10 +119,11 @@ def invariant_generators(weyl):
     """Degree-by-degree search for a complete set of basic invariants.
 
     Each degree has one span, seeded with the products of the generators
-    already found. The Reynolds image of every monomial of the degree is
-    added to it in ascending grevlex order, and an image is adopted when
-    it enlarges the span. An image that depends on earlier images already
-    lies in the span, so only the new invariants modulo the products are
+    already found. The Reynolds image of every monomial of the degree,
+    the group's kept average of it (`WeylGroup.average`), is added to it
+    in ascending grevlex order, and an image is adopted when it enlarges
+    the span. An image that depends on earlier images already lies in
+    the span, so only the new invariants modulo the products are
     adopted. The result is certified by its count and by the degree
     product against the group order; `Chart` certifies the Jacobian.
     """
@@ -133,7 +137,7 @@ def invariant_generators(weyl):
         for _, prod in _weighted_products(adopted, degrees, d, n):
             span.add(prod.coefficient_vector(monos))
         for e in monos:
-            img = reynolds(weyl, MultiPoly(n, {e: Qi(1)}))
+            img = weyl.average(_pack(e))
             if not span.add(img.coefficient_vector(monos)):
                 continue
             _, lc = img.leading_term()

@@ -131,12 +131,6 @@ class CartanSubspace:
         self.basis = [_vec(v) for v in basis]
         self.rank = len(self.basis)
 
-    def embed(self, coords):
-        coords = _vec(coords)
-        if len(coords) != self.rank:
-            raise ValueError("coordinate count does not match the rank")
-        return mat_vec(mat_transpose(self.basis), coords)
-
 
 class SymmetricPair:
     """A reductive algebra with involution sigma and invariant form kappa.

@@ -73,6 +73,13 @@ class WeylGroup:
     last j with e_j > 0, times that of x_j, the linear form of row j of
     w: one product per new monomial.
 
+    It keeps, likewise, the Reynolds projector's columns as they are
+    asked for. `average(e)` is (1/|W|) sum_i image(i, e), the group
+    average of x^e, and `field_average(l, e)` is the pushed average of
+    the field x^e d/dx_l: component k is sum_w (w_kl / |W|)
+    image(w^{-1}, e). Each is one `linear_combination` over the |W| kept
+    images, built once per key.
+
     `kappa_inverse` is the inverse of the invariant form, inverted at
     most once per group: `weyl_group` passes the one it built the
     reflections from, a local group W_a passes W's, and a group built
@@ -111,6 +118,8 @@ class WeylGroup:
         self._kinv = kappa_inverse
         self._keys = set(closure)
         self._images = [{} for _ in keys]
+        self._averages = {}
+        self._field_averages = {}
 
     @property
     def kappa_inverse(self):
@@ -152,6 +161,35 @@ class WeylGroup:
                     img = self._image(i, e - unit) * self._image(i, unit)
             images[e] = img
         return img
+
+    def average(self, e):
+        """(1/|W|) sum_i image(i, e), kept by the packed exponent e."""
+        avg = self._averages.get(e)
+        if avg is None:
+            scale = (1, 0, self.order)
+            avg = self._averages[e] = linear_combination(
+                self.dim, [(scale, self._image(i, e)) for i in range(self.order)]
+            )
+        return avg
+
+    def field_average(self, l, e):
+        """The components sum_w (w_kl / |W|) image(w^{-1}, e), k = 0..dim-1,
+        of the averaged field x^e d/dx_l, kept by (l, e)."""
+        comps = self._field_averages.get((l, e))
+        if comps is None:
+            moved = [self._image(j, e) for j in self.inverse_index]
+            comps = self._field_averages[l, e] = tuple(
+                linear_combination(
+                    self.dim,
+                    [
+                        ((x._a, x._b, x._d * self.order), m)
+                        for w, m in zip(self.elements, moved)
+                        if (x := w[k][l])
+                    ],
+                )
+                for k in range(self.dim)
+            )
+        return comps
 
     def __eq__(self, other):
         # the same elements make the same group, built once or twice

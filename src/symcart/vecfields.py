@@ -17,7 +17,6 @@ from .exactalg import (
     MultiPoly,
     QI_ONE,
     _normal,
-    _qi,
     linear_combination,
     mat_det,
     mat_transpose,
@@ -116,22 +115,19 @@ def is_invariant_field(X, weyl):
 def reynolds_field(weyl, X):
     """Group average of the pushed-forward field, the exact projector
     onto invariant fields: component k is the one sum of
-    (w_kl / |W|) X_l(w^{-1} x) over the elements w and the indices l."""
-    scale = _qi(1, 0, weyl.order)
-    moved = [
-        [weyl.act(j, c) for c in X.components] for j in weyl.inverse_index
+    (w_kl / |W|) X_l(w^{-1} x) over the elements w and the indices l,
+    read per term c x^e of X_l from the group's kept field average of
+    x^e d/dx_l."""
+    if X.dim != weyl.dim:
+        raise ValueError("variable count mismatch")
+    terms = [
+        ((a, b, c._den), weyl.field_average(l, e))
+        for l, c in enumerate(X.components)
+        for e, (a, b) in c._num.items()
     ]
     return PolyVectorField(
         [
-            linear_combination(
-                X.dim,
-                [
-                    (w[k][l] * scale, ml)
-                    for w, mw in zip(weyl.elements, moved)
-                    for l, ml in enumerate(mw)
-                    if w[k][l]
-                ],
-            )
+            linear_combination(X.dim, [(a, avg[k]) for a, avg in terms])
             for k in range(X.dim)
         ]
     )

@@ -2,8 +2,9 @@
 
 Everything here is computed independently of the implementation under test,
 from first principles or from printed constants, so that agreement is
-evidence rather than tautology. `count_calls` is the one helper that
-observes the implementation instead.
+evidence rather than tautology. `count_calls` observes the
+implementation instead, and `reynolds_by_elements` reads the group's own
+action, one element at a time.
 """
 
 import sys
@@ -158,6 +159,15 @@ def average_poly(f, weyl):
     return acc * Qi(Fraction(1, weyl.order))
 
 
+def reynolds_by_elements(weyl, f):
+    """(1/|W|) sum_i weyl.act(i, f): the group average as one action per
+    element, with no kept average."""
+    acc = MultiPoly.zero(f.num_vars)
+    for i in range(weyl.order):
+        acc = acc + weyl.act(i, f)
+    return acc * Qi(Fraction(1, weyl.order))
+
+
 def average_field(components, weyl):
     """Push a raw field around the group and average the results; the
     outcome is invariant whatever the input."""
@@ -173,6 +183,18 @@ def average_field(components, weyl):
                 acc[i] = acc[i] + w[i][j] * moved[j]
     scale = Qi(Fraction(1, weyl.order))
     return [c * scale for c in acc]
+
+
+def embed(cartan, coords):
+    """The point sum_i coords_i b_i of g for the basis b of a Cartan
+    subspace, summed product by product."""
+    if len(coords) != cartan.rank:
+        raise AssertionError("coordinate count does not match the rank")
+    out = [Qi(0)] * len(cartan.basis[0])
+    for c, b in zip(coords, cartan.basis):
+        for k, x in enumerate(b):
+            out[k] = out[k] + c * x
+    return out
 
 
 def det_cofactor(M):

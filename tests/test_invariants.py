@@ -5,8 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from _oracles import rand_poly, sl_so_pair, weighted_partition_count
-from symcart import cli
+from _oracles import (
+    count_calls,
+    rand_poly,
+    reynolds_by_elements,
+    sl_so_pair,
+    weighted_partition_count,
+)
+from symcart import cli, invariants
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import LinearSpan, MultiPoly, mat_vec
 from symcart.invariants import (
@@ -19,7 +25,7 @@ from symcart.invariants import (
     reynolds,
 )
 from symcart.liesym import catalog, catalog_pair, load_pair
-from symcart.rootsys import restricted_roots, weyl_group
+from symcart.rootsys import WeylGroup, restricted_roots, weyl_group
 from symcart.vecfields import PolyVectorField, reynolds_field, solomon_decompose
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -344,6 +350,7 @@ def test_group_action_refuses_a_polynomial_in_other_variables():
     for call in (
         lambda: is_invariant(f, chart.weyl),
         lambda: reynolds(chart.weyl, f),
+        lambda: reynolds_field(chart.weyl, X),
         lambda: solomon_decompose(X, chart),
     ):
         with pytest.raises(ValueError, match="^variable count mismatch$"):
@@ -423,3 +430,69 @@ def test_field_average_composes_less_on_a_warm_group(monkeypatch):
     calls.clear()
     assert reynolds_field(weyl, X) == Y
     assert cold > len(calls) == 0
+
+
+def _kept(weyl):
+    """Every kept monomial image, average and field average."""
+    return _kept_images(weyl) + len(weyl._averages) + len(weyl._field_averages)
+
+
+def _local_block_group(monkeypatch):
+    """The group of b-blocks that `local_chart` closes at sl3-so21's
+    [1, 0], taken from its call to `invariant_generators`."""
+    seen = []
+    original = invariants.invariant_generators
+
+    def recorded(weyl):
+        seen.append(weyl)
+        return original(weyl)
+
+    monkeypatch.setattr(invariants, "invariant_generators", recorded)
+    local_chart(build_chart(catalog_pair("sl3-so21")), [Qi(1), Qi(0)])
+    monkeypatch.undo()
+    (block,) = seen[1:]
+    return block
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", "sl4-so4", "b-block"]
+)
+def test_reynolds_is_the_average_of_the_element_actions(name, monkeypatch):
+    # the kept averages give what one action per element gives, read
+    # first from a cold group and again from the same group warm
+    if name == "b-block":
+        block = _local_block_group(monkeypatch)
+        assert len(block._averages) > 0
+        weyl = WeylGroup(block.dim, block.generators, block.kappa_on_a)
+    else:
+        pair = _pair_named(name)
+        weyl = weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
+    rng = random.Random(name)
+    polys = [rand_poly(rng, weyl.dim, d) for d in range(6)]
+    assert _kept(weyl) == 0
+    cold = [reynolds(weyl, f) for f in polys]
+    for f, avg in zip(polys, cold):
+        expected = reynolds_by_elements(weyl, f)
+        assert avg == expected, (name, f)
+        assert reynolds(weyl, f) == expected, (name, f)
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2-so2", "sl3-so21", "abelian2", "sl2-diagonal", "sl2-so2-cubed"]
+)
+def test_warm_reynolds_is_one_sum_per_output_polynomial(name, monkeypatch):
+    # on a warm group each output polynomial is one `linear_combination`
+    # of kept averages, and nothing new is kept
+    pair = _pair_named(name)
+    weyl = weyl_group(restricted_roots(pair), pair.kappa_on_cartan())
+    rng = random.Random(name)
+    f = rand_poly(rng, weyl.dim, 5)
+    X = PolyVectorField([rand_poly(rng, weyl.dim, 4) for _ in range(weyl.dim)])
+    avg, field = reynolds(weyl, f), reynolds_field(weyl, X)
+    kept = _kept(weyl)
+    calls = count_calls(monkeypatch, "linear_combination")
+    assert reynolds(weyl, f) == avg
+    assert len(calls) == 1
+    assert reynolds_field(weyl, X) == field
+    assert len(calls) == 1 + weyl.dim
+    assert _kept(weyl) == kept

@@ -9,6 +9,7 @@ import sympy
 from _oracles import (
     SL3_ROOT_SET,
     count_calls,
+    embed,
     matrix_key,
     same_span,
     sl3_weyl_matrices_by_weight_permutations,
@@ -337,7 +338,7 @@ def test_roots_match_sympy_eigenvectors_at_a_fixed_point(name):
         assert value != 0 and value not in expected, (name, value)
         expected[value] = r.multiplicity
     expected[sympy.Integer(0)] = system.zero_dim
-    ad = pair.algebra.ad(pair.cartan.embed(c))
+    ad = pair.algebra.ad(embed(pair.cartan, c))
     found = {}
     for value, alg_mult, vectors in sympy.Matrix(
         [[_to_sympy(x) for x in row] for row in ad]
