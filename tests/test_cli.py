@@ -597,7 +597,7 @@ MUTANTS = {
     # products of size 2 and up, here those of sl3-so21's 2x2 Jacobian
     "adjugate_identity": (
         ["phi", "--pair", "sl3-so21"],
-        "import symcart.exactalg as m\n"
+        "import symcart.linalg as m\n"
         "mat_mul = m.mat_mul\n"
         "def skewed(A, B):\n"
         "    P = mat_mul(A, B)\n"
@@ -752,7 +752,7 @@ def test_every_certification_has_one_raise_site():
     # A adj(A) = det(A) I is certified by every determinant, from the last
     # product of its recurrence; the CLI does not render it as a check of
     # its own
-    assert sites["adjugate_identity"][0].startswith("exactalg.py:")
+    assert sites["adjugate_identity"][0].startswith("linalg.py:")
     # every chart, global or local, certifies its Jacobian where it is built
     assert sites["jacobian_nonzero"][0].startswith("invariants.py:")
     # the one reconstruction certificate of the chart calculus, in _cramer

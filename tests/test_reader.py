@@ -15,7 +15,7 @@ from _oracles import count_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcart import cli, exactalg, liesym
+from symcart import cli, exactalg, liesym, scalars
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import MultiPoly, parse_scalar
 
@@ -97,7 +97,7 @@ def test_reading_builds_no_product_power_or_fraction(monkeypatch):
     def no_fraction(*args):
         raise AssertionError("the reader built a Fraction")
 
-    monkeypatch.setattr(exactalg, "Fraction", no_fraction)
+    monkeypatch.setattr(scalars, "Fraction", no_fraction)
     p = MultiPoly.parse("(3/2 + 1i)*x0^2*x1 - x1^3*(2) + 1/2", 2)
     s = parse_scalar("-3/4 + 2/5i")
     assert products == [] and powers == []
