@@ -104,14 +104,32 @@ def _poly_vars(*entries):
 
 
 def mat_mul(A, B):
+    """A B; over Q(i) each row of A combines only the rows of B at its
+    nonzero entries, and a zero row is a zero row without a sum."""
     n = _poly_vars(*A[0][:1], *B[0][:1]) if A and B else None
-    cols = list(zip(*B))
-    return [[_dot(n, row, col) for col in cols] for row in A]
+    if n is not None:
+        cols = list(zip(*B))
+        return [[_dot(n, row, col) for col in cols] for row in A]
+    zero_row = [QI_ZERO] * (len(B[0]) if B else 0)
+    out = []
+    for row in A:
+        nz = [k for k, x in enumerate(row) if x._a or x._b]
+        if nz:
+            xs = [row[k] for k in nz]
+            out.append([_dot(None, xs, col) for col in zip(*[B[k] for k in nz])])
+        else:
+            out.append(zero_row[:])
+    return out
 
 
 def mat_vec(A, v):
+    """A v; over Q(i) the sums run over the nonzero entries of v only."""
     n = _poly_vars(*A[0][:1], *v[:1]) if A else None
-    return [_dot(n, row, v) for row in A]
+    if n is not None:
+        return [_dot(n, row, v) for row in A]
+    nz = [k for k, x in enumerate(v) if x._a or x._b]
+    xs = [v[k] for k in nz]
+    return [_dot(None, [row[k] for k in nz], xs) for row in A]
 
 
 def mat_identity(n):
@@ -194,30 +212,48 @@ class LinearSpan:
 
 # ------------------------------------------------------------------ spectra
 
-def matrix_min_poly(A):
-    """Monic minimal polynomial of a square Q(i) matrix, a MultiPoly in
-    one variable.
+def _min_relation(vectors, n, length):
+    """Monic polynomial sum_k c_k x^k of least degree with sum_k c_k v_k = 0
+    for the vectors v_0, v_1, ... of an iterator, each of the given
+    length, as a MultiPoly in one variable; a relation must exist among
+    the first n + 1.
 
-    Each power A^k is flattened, tagged with the unit vector e_k and
-    reduced in one span. Row operations keep every row a combination of
-    the tagged powers with its tag as coefficients, so the first power
-    whose flattened part reduces to zero carries the monic relation of
-    least degree in its tag. By Cayley-Hamilton that happens by k = n.
+    Each v_k is tagged with the unit vector e_k and reduced in one span.
+    Row operations keep every row a combination of the tagged vectors with
+    its tag as coefficients, so the first vector that reduces to zero
+    carries the monic relation of least degree in its tag.
     """
-    n = len(A)
-    nn = n * n
-    span = LinearSpan(nn + n + 1)
-    power = mat_identity(n)
-    for k in range(n + 1):
+    span = LinearSpan(length + n + 1)
+    for k, vec in zip(range(n + 1), vectors):
         tag = [QI_ONE if j == k else QI_ZERO for j in range(n + 1)]
-        v = span.reduce([x for row in power for x in row] + tag)
-        if all(x.is_zero() for x in v[:nn]):
-            return MultiPoly(1, {(j,): c for j, c in enumerate(v[nn:])})
+        v = span.reduce(vec + tag)
+        if all(x.is_zero() for x in v[:length]):
+            return MultiPoly(1, {(j,): c for j, c in enumerate(v[length:])})
         span.add(v)
-        power = mat_mul(power, A)
     raise CertificationError(
         "min_poly_relation", {"size": n, "independent_powers": n + 1}
     )
+
+
+def _krylov(A, v):
+    """v, A v, A^2 v, ..."""
+    while True:
+        yield v
+        v = mat_vec(A, v)
+
+
+def matrix_min_poly(A):
+    """Monic minimal polynomial of a square Q(i) matrix, a MultiPoly in
+    one variable: the first relation among the flattened powers A^k,
+    which by Cayley-Hamilton comes by k = n."""
+
+    def powers():
+        P = mat_identity(len(A))
+        while True:
+            yield [x for row in P for x in row]
+            P = mat_mul(P, A)
+
+    return _min_relation(powers(), len(A), len(A) ** 2)
 
 
 def _gaussian_int_divisors(a, b):
@@ -324,6 +360,31 @@ class SpectrumError(ValueError):
     """A spectrum does not split over Q(i)."""
 
 
+def _eigen_split(blocks, A, eigs):
+    """Every block cut into the kernels of A - lambda on it, for lambda
+    over `eigs`; None when the kernels miss part of a block."""
+    n = len(A)
+    finer = []
+    for func, basis in blocks:
+        images = [mat_vec(A, v) for v in basis]
+        basis_t = mat_transpose(basis)
+        filled = 0
+        for lam in eigs:
+            # coordinates u with (A - lam) sum_k u_k basis_k = 0
+            coeffs = (QI_ONE, -lam)
+            M = [
+                [_dot(None, coeffs, (w[r], v[r])) for v, w in zip(basis, images)]
+                for r in range(n)
+            ]
+            sub = [mat_vec(basis_t, u) for u in kernel_basis(M)]
+            if sub:
+                finer.append((func + (lam,), sub))
+                filled += len(sub)
+        if filled != len(basis):
+            return None
+    return finer
+
+
 def joint_eigenspaces(mats):
     """Joint eigenspaces of commuting square Q(i) matrices, with the one
     semisimplicity certificate: `(blocks, None)` or `(None, i)`.
@@ -336,32 +397,35 @@ def joint_eigenspaces(mats):
     first A whose kernels miss part of a block is reported by its index i.
     Otherwise `blocks` lists the joint eigenspaces as (eigenvalue tuple,
     basis) pairs.
+
+    The roots are first taken from the least monic p with p(A) g = 0 for
+    the one fixed vector g = (1, 2, ..., n), read off the Krylov sequence
+    g, A g, A^2 g, ...; p divides the minimal polynomial. When the kernels
+    for the roots of p fill every block, A is diagonalisable, g has a
+    part in every eigenspace, so p is the minimal polynomial and the
+    split is the one it gives. Otherwise (p does not split, its root
+    search is refused, or its kernels do not fill) the minimal polynomial
+    of A, `matrix_min_poly`, decides as above, with the same errors.
     """
     n = len(mats[0])
+    g = [Qi(k) for k in range(1, n + 1)]
     blocks = [((), mat_identity(n))]  # eigenvalues so far, block basis
     for idx, A in enumerate(mats):
-        eigs, split = gaussian_rational_roots(matrix_min_poly(A))
-        if not split:
-            raise SpectrumError(
-                f"the minimal polynomial of matrix {idx} does not split over Q(i)"
-            )
-        finer = []
-        for func, basis in blocks:
-            images = [mat_vec(A, v) for v in basis]
-            basis_t = mat_transpose(basis)
-            filled = 0
-            for lam in eigs:
-                # coordinates u with (A - lam) sum_k u_k basis_k = 0
-                coeffs = (QI_ONE, -lam)
-                M = [
-                    [_dot(None, coeffs, (w[r], v[r])) for v, w in zip(basis, images)]
-                    for r in range(n)
-                ]
-                sub = [mat_vec(basis_t, u) for u in kernel_basis(M)]
-                if sub:
-                    finer.append((func + (lam,), sub))
-                    filled += len(sub)
-            if filled != len(basis):
+        try:
+            eigs, split = gaussian_rational_roots(_min_relation(_krylov(A, g), n, n))
+        except ValueError:
+            # p's end coefficients may pass the search bound where those
+            # of the minimal polynomial do not
+            split = False
+        finer = _eigen_split(blocks, A, eigs) if split else None
+        if finer is None:
+            eigs, split = gaussian_rational_roots(matrix_min_poly(A))
+            if not split:
+                raise SpectrumError(
+                    f"the minimal polynomial of matrix {idx} does not split over Q(i)"
+                )
+            finer = _eigen_split(blocks, A, eigs)
+            if finer is None:
                 return None, idx
         blocks = finer
     return blocks, None

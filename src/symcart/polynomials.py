@@ -533,7 +533,8 @@ def _dot(num_vars, xs, ys):
 
     In Q(i) it is that kernel's scalar twin: the nonzero products are
     added up as Gaussian-integer numerators over one common denominator,
-    and the sum is brought to lowest terms once.
+    and the sum is brought to lowest terms once; a zero sum is the shared
+    `QI_ZERO`, with no gcd.
     """
     if num_vars is not None:
         return linear_combination(
@@ -554,4 +555,4 @@ def _dot(num_vars, xs, ys):
                 s = D // d
                 re += (a * c - b * e) * s
                 im += (a * e + b * c) * s
-    return _qi(re, im, D)
+    return _qi(re, im, D) if re or im else QI_ZERO

@@ -92,15 +92,24 @@ def raw_form(K, x, y):
     return acc
 
 
+def dense_dot(xs, ys, zero=Qi(0)):
+    """sum x * y over every pair of entries, zero or not, one product and
+    one addition at a time; `zero` is the start (a zero MultiPoly for
+    polynomial entries)."""
+    acc = zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def dense_mat_mul(A, B, zero=Qi(0)):
+    """A B, every entry a `dense_dot` of a row and a column."""
+    return [[dense_dot(row, col, zero) for col in zip(*B)] for row in A]
+
+
 def raw_mat_vec(A, v):
     """A v summed product by product."""
-    out = []
-    for row in A:
-        acc = Qi(0)
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        out.append(acc)
-    return out
+    return [dense_dot(row, v) for row in A]
 
 
 def matrix_key(m):

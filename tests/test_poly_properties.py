@@ -10,7 +10,8 @@ order as grevlex on tuples and carry nothing below the exponent bound,
 where a product is refused; the integer store is canonical, so equal
 polynomials reached by different routes have identical stores. The scalar dot
 product under `mat_mul` and `mat_vec` matches a term-by-term sum of
-Fraction pairs, the fused
+Fraction pairs, and with zero rows, columns and vectors the dense sum of
+every product, over Q(i) and over polynomials; the fused
 `linear_combination` matches a term-by-term Q(i) sum, the binomial
 `shift` matches composition with x + a, and the jet products and the
 Reynolds field match the accumulation loops they replace."""
@@ -28,10 +29,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import gaussian_divisors_by_norms, render_scalar_by_fractions
+from _oracles import (
+    dense_dot,
+    dense_mat_mul,
+    gaussian_divisors_by_norms,
+    render_scalar_by_fractions,
+)
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
     EXPONENT_BOUND,
+    QI_ZERO,
     MultiPoly,
     _dot,
     _gaussian_int_divisors,
@@ -229,6 +236,65 @@ def _polys(draw, n):
 
 
 _num_vars = st.integers(1, 3)
+
+
+@st.composite
+def _with_zeros(draw, entries, rows, cols, zero):
+    """A rows x cols matrix of the entries with some rows and some
+    columns set to `zero`."""
+    M = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return [
+        [zero if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(M)
+    ]
+
+
+@st.composite
+def _sparse_products(draw):
+    r, m, c = (draw(st.integers(1, 4)) for _ in range(3))
+    A = draw(_with_zeros(_entries, r, m, QI_ZERO))
+    B = draw(_with_zeros(_entries, m, c, QI_ZERO))
+    v = draw(st.just([QI_ZERO] * m) | st.lists(_entries, min_size=m, max_size=m))
+    return A, B, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_products())
+def test_zero_aware_products_equal_the_dense_sums(case):
+    # mat_mul and mat_vec skip the zero entries of A and v, and _dot
+    # builds no sum for zero; the canonical triples make == exact, so a
+    # zero sum equals QI_ZERO and every other sum the dense one
+    A, B, v = case
+    AB = mat_mul(A, B)
+    assert AB == dense_mat_mul(A, B)
+    assert len({id(row) for row in AB}) == len(AB)
+    for row, out in zip(A, AB):
+        if all(x == QI_ZERO for x in row):
+            assert out == [QI_ZERO] * len(B[0])
+    assert mat_vec(A, v) == [dense_dot(row, v) for row in A]
+    for row in A:
+        assert _dot(None, row, v) == dense_dot(row, v)
+
+
+@st.composite
+def _polynomial_products(draw):
+    n = draw(_num_vars)
+    zero = MultiPoly.zero(n)
+    A = draw(_with_zeros(_polys(n), 2, 2, zero))
+    B = draw(_with_zeros(_polys(n), 2, 2, zero))
+    v = draw(st.lists(_polys(n) | _entries, min_size=2, max_size=2))
+    return zero, A, B, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polynomial_products())
+def test_polynomial_products_equal_the_dense_sums(case):
+    zero, A, B, v = case
+    assert mat_mul(A, B) == dense_mat_mul(A, B, zero)
+    assert mat_vec(A, v) == [dense_dot(row, v, zero) for row in A]
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,10 +13,17 @@ from _oracles import (
     matrix_key,
     same_span,
     sl3_weyl_matrices_by_weight_permutations,
+    sl_so_pair,
 )
 from symcart import cli, liesym, rootsys
 from symcart.exactalg import GaussianRational as Qi
-from symcart.exactalg import MultiPoly, mat_identity, mat_mul, mat_vec
+from symcart.exactalg import (
+    MultiPoly,
+    joint_eigenspaces,
+    mat_identity,
+    mat_mul,
+    mat_vec,
+)
 from symcart.invariants import build_chart
 from symcart.liesym import catalog, catalog_pair, centralizer_in_q, load_pair
 from symcart.rootsys import (
@@ -253,18 +260,44 @@ def test_local_group_is_the_reflection_group_of_the_vanishing_roots():
         assert order is None or W_a.order == order, (pair.name, pt)
 
 
-def test_one_min_poly_per_cartan_vector(monkeypatch):
-    # construction leaves the spectrum to the root split, which takes one
-    # minimal polynomial per Cartan basis vector
+def test_root_split_takes_no_minimal_polynomial(monkeypatch):
+    # the Krylov relation of g = (1, ..., n) certifies the split of every
+    # Cartan basis vector of these pairs, so none falls back to
+    # matrix_min_poly; loading or building a pair takes none either
     calls = count_calls(monkeypatch, "matrix_min_poly")
-    pair = liesym._build_sl3_so21()
-    assert calls == []
-    build_chart(pair)
-    assert len(calls) == pair.cartan.rank == 2
-    calls.clear()
+    path = ROOT / "perfbench" / "fixtures" / "sl2-so2-cubed.json"
+    pairs = [*catalog(), load_pair(json.loads(path.read_text()))]
     path = Path(__file__).parent / "fixtures" / "sl4-so4.json"
-    load_pair(json.loads(path.read_text()))
+    pairs += [load_pair(json.loads(path.read_text())), sl_so_pair(5)]
     assert calls == []
+    for pair in pairs:
+        restricted_roots(pair)
+    assert calls == []
+    # the counter bites: g = (1, 2) is an eigenvector of P diag(1, 3) P^-1
+    # for P with first column (1, 2), so its relation x - 1 misses the
+    # eigenvalue 3 and the minimal polynomial decides
+    A = [[Qi(1), Qi(0)], [Qi(-4), Qi(3)]]
+    blocks, bad = joint_eigenspaces([A])
+    assert calls == [2] and bad is None
+    assert [lam for (lam,), _ in blocks] == [Qi(1), Qi(3)]
+    for (lam,), basis in blocks:
+        assert len(basis) == 1
+        assert mat_vec(A, basis[0]) == [lam * x for x in basis[0]]
+    assert same_span(blocks[0][1], [[Qi(1), Qi(2)]], 2)
+
+
+def test_root_split_refusals_are_unchanged(monkeypatch):
+    calls = count_calls(monkeypatch, "matrix_min_poly")
+    # a Jordan block: the kernel of A - 1 misses half of the space, with
+    # the Krylov relation and then with the minimal polynomial
+    assert joint_eigenspaces([[[Qi(1), Qi(1)], [Qi(0), Qi(1)]]]) == (None, 0)
+    assert calls == [2]
+    # eigenvalues +-sqrt(2): the relation does not split, so neither does
+    # the minimal polynomial it divides
+    with pytest.raises(
+        SpectrumError, match=r"^the minimal polynomial of matrix 0 does not split over Q\(i\)$"
+    ):
+        joint_eigenspaces([[[Qi(0), Qi(2)], [Qi(1), Qi(0)]]])
 
 
 def _weyl_of(pair):
