@@ -22,8 +22,6 @@ from .linalg import (
     LinearSpan,
     SpectrumError,
     _gaussian_int_divisors,
-    _kernel_from_rref,
-    _poly_vars,
     _rref,
     det_adjugate,
     gaussian_rational_roots,
@@ -40,13 +38,10 @@ from .linalg import (
     solve_exact,
 )
 from .polynomials import (
-    _TOKEN,
     EXPONENT_BOUND,
     FIELD_BITS,
     MultiPoly,
-    _binomial_row,
     _dot,
-    _from_terms,
     _normal,
     _order,
     _pack,
@@ -61,7 +56,6 @@ from .scalars import (
     CertificationError,
     GaussianRational,
     Qi,
-    _part,
     _qi,
     exact_order,
     render_matrix,

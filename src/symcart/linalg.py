@@ -18,7 +18,16 @@ from collections import namedtuple
 from math import gcd, isqrt
 
 from .polynomials import MultiPoly, _dot
-from .scalars import QI_ONE, QI_ZERO, CertificationError, GaussianRational, Qi, _qi, exact_order, render_scalar
+from .scalars import (
+    QI_ONE,
+    QI_ZERO,
+    CertificationError,
+    GaussianRational,
+    Qi,
+    _qi,
+    exact_order,
+    render_scalar,
+)
 
 # ------------------------------------------------------------------ matrices
 
