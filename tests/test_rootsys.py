@@ -15,7 +15,7 @@ from _oracles import (
     sl3_weyl_matrices_by_weight_permutations,
     sl_so_pair,
 )
-from symcart import cli, liesym, rootsys
+from symcart import cli, rootsys
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
     MultiPoly,
