@@ -29,6 +29,8 @@ from .exactalg import (
     CertificationError,
     GaussianRational as Qi,
     MultiPoly,
+    _normal,
+    _pack,
     parse_scalar,
     render_matrix,
     render_scalar,
@@ -216,13 +218,15 @@ def _parse_point(raw, rank):
 # ----------------------------------------------------------------- sampling
 
 def _random_poly(rng, nvars, max_deg):
-    terms = {}
+    """One to six terms (a + b i) x^e, drawn straight into the integer
+    store; a repeated exponent keeps its last draw."""
+    acc = {}
     for _ in range(rng.randint(1, 6)):
         e = [0] * nvars
         for _ in range(rng.randint(0, max_deg)):
             e[rng.randrange(nvars)] += 1
-        terms[tuple(e)] = Qi(rng.randint(-4, 4), rng.randint(-2, 2))
-    return MultiPoly(nvars, terms)
+        acc[_pack(e)] = [rng.randint(-4, 4), rng.randint(-2, 2)]
+    return _normal(nvars, 1, acc)
 
 
 def _random_invariant_field(rng, weyl, max_deg):

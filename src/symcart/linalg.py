@@ -68,10 +68,11 @@ LinearSolution = namedtuple("LinearSolution", "rank particular kernel")
 def _rref(rows, length):
     """Reduced row echelon form of the rows, as (pivot, row) pairs sorted
     by pivot: the one elimination behind every solve, kernel, inverse and
-    rank. The form is unique, so it does not depend on the row order."""
+    rank. The form is unique, so it does not depend on the row order. The
+    entries are brought to Q(i) here, once, so a caller may pass ints."""
     span = LinearSpan(length)
     for row in rows:
-        span.add(row)
+        span.add([GaussianRational._coerce(x) for x in row])
     return span.rows
 
 
@@ -176,7 +177,9 @@ def kernel_basis(A):
 
 
 class LinearSpan:
-    """Incrementally built row space in reduced echelon form."""
+    """Incrementally built row space in reduced echelon form, of vectors
+    with Q(i) entries (`_rref` coerces the rows it is handed); a zero
+    entry is read off its numerators."""
 
     def __init__(self, length):
         self.length = length
@@ -185,26 +188,26 @@ class LinearSpan:
     def reduce(self, vec):
         """vec minus one combination of the rows: they are fully reduced,
         so the coefficient of each is the entry of vec at its pivot."""
-        v = [GaussianRational._coerce(x) for x in vec]
-        used = [(-v[piv], row) for piv, row in self.rows if v[piv]]
+        used = [(-x, row) for piv, row in self.rows if (x := vec[piv])._a or x._b]
         if not used:
-            return v
+            return list(vec)
         coeffs = [QI_ONE] + [f for f, _ in used]
-        return [_dot(None, coeffs, col) for col in zip(v, *[row for _, row in used])]
+        return [_dot(None, coeffs, col) for col in zip(vec, *[row for _, row in used])]
 
     def contains(self, vec):
-        return all(x.is_zero() for x in self.reduce(vec))
+        return not any(x._a or x._b for x in self.reduce(vec))
 
     def add(self, vec) -> bool:
         v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if not x.is_zero()), None)
+        piv = next((i for i, x in enumerate(v) if x._a or x._b), None)
         if piv is None:
             return False
         p = v[piv]
-        v = [x / p if x else x for x in v]
+        v = [x / p if x._a or x._b else x for x in v]
         for k, (p2, row) in enumerate(self.rows):
-            if row[piv]:
-                coeffs = (QI_ONE, -row[piv])
+            x = row[piv]
+            if x._a or x._b:
+                coeffs = (QI_ONE, -x)
                 self.rows[k] = (p2, [_dot(None, coeffs, xy) for xy in zip(row, v)])
         self.rows.append((piv, v))
         self.rows.sort(key=lambda t: t[0])

@@ -14,11 +14,13 @@ callers are `MultiPoly` sums, differences, scalar multiples, `__mul__`
 and `compose`, the polynomial `mat_mul`, `mat_vec` and the traces of a
 polynomial `det_adjugate`, `WeylGroup.act` and the group's kept
 averages (`average`, `field_average`), `invariants.reynolds`, and in
-`vecfields` the field action `apply_to` (the jet gradient action
-included), the pushed field, `reynolds_field`, `jet_mul` and
-`jet_invert`.
-`MultiPoly.shift`, behind `jet_of` and `Jet.polynomial`, expands
-(x + a)^k binomially on the same integer numerators.
+`vecfields` the field action `apply_to`, the pushed field,
+`reynolds_field`, `jet_mul`, `jet_gradient_action` and `jet_invert`.
+With a `cap` it builds no product above that degree, which is how the
+jets truncate. `MultiPoly.shift`, behind `jet_of` and `Jet.polynomial`,
+expands (x + a)^k binomially on the same integer numerators, capped the
+same way, and `divmod_by` divides fraction-free on them, with no gcd
+and no Q(i) scalar inside its loop.
 
 Every sum of Q(i) products goes through its scalar twin, `_dot`, in the
 same way: the Q(i) `mat_mul` and `mat_vec`, the traces of a scalar
@@ -103,7 +105,10 @@ class MultiPoly:
             if len(e) != num_vars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent {e} for {num_vars} variables")
             clean[_pack(e)] = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        _from_terms(num_vars, clean, self)
+        # over the least common denominator of the coefficients
+        D = lcm(*[c._d for c in clean.values()])
+        acc = {e: [c._a * (D // c._d), c._b * (D // c._d)] for e, c in clean.items()}
+        _normal(num_vars, D, acc, self)
 
     @property
     def terms(self):
@@ -279,30 +284,37 @@ class MultiPoly:
         """f(Mx): substitute row i of M (as a linear form) for variable i."""
         return self.compose([MultiPoly.linear_form(row) for row in M])
 
-    def shift(self, point):
+    def shift(self, point, cap=None):
         """f(x + point), by the binomial expansion of every power
-        (x_i + a_i)^k = sum_j C(k, j) a_i^(k - j) x_i^j.
+        (x_i + a_i)^k = sum_j C(k, j) a_i^(k - j) x_i^j; with `cap`, only
+        its terms of degree at most cap.
 
         With the point as Gaussian integers A_i over its denominator d,
         row (i, k) holds C(k, j) A_i^(k - j) d^j for j = 0..k, built once
         per call; the product of the rows of a term of degree m, times
         d^(top - m), is its expansion over `_den` d^top, for the top
-        degree `top` of f. All of it is added up on the integer store and
-        normalised once.
+        degree `top` of f. In a term of degree above cap, a partial
+        product of degree above cap is dropped as it forms. All of it is
+        added up on the integer store and normalised once.
         """
         n = self.num_vars
         if len(point) != n:
             raise ValueError("point dimension mismatch")
         a = [GaussianRational._coerce(x) for x in point]
-        if not self._num or not any(a):
-            return self
-        d = lcm(*[x._d for x in a])
         top = self.degree()
+        cut = None if cap is None else cap + 1 << FIELD_BITS * n
+        if not self._num or not any(a):
+            if cap is None or top <= cap:
+                return self
+            return _normal(n, self._den, {e: t for e, t in self._num.items() if e < cut})
+        d = lcm(*[x._d for x in a])
         binomial = {}
         acc = {}
         for e, (re, im) in self._num.items():
             s = d ** (top - (e >> FIELD_BITS * n))
             parts = [(0, re * s, im * s)]
+            # only a term above the cap has partial products to drop
+            prune = cut is not None and e >= cut
             for i, k in enumerate(_unpack(e, n)):
                 row = binomial.get((i, k))
                 if row is None:
@@ -310,11 +322,19 @@ class MultiPoly:
                     z = x._a * (d // x._d), x._b * (d // x._d)
                     unit = (1 << FIELD_BITS * n) + (1 << FIELD_BITS * i)
                     row = binomial[i, k] = _binomial_row(z, d, k, unit)
-                parts = [
-                    (x + j, u * p - v * q, u * q + v * p)
-                    for x, u, v in parts
-                    for j, p, q in row
-                ]
+                if prune:
+                    parts = [
+                        (x + j, u * p - v * q, u * q + v * p)
+                        for x, u, v in parts
+                        for j, p, q in row
+                        if x + j < cut
+                    ]
+                else:
+                    parts = [
+                        (x + j, u * p - v * q, u * q + v * p)
+                        for x, u, v in parts
+                        for j, p, q in row
+                    ]
             for x, u, v in parts:
                 t = acc.get(x)
                 if t is None:
@@ -328,7 +348,17 @@ class MultiPoly:
 
     def divmod_by(self, p: "MultiPoly"):
         """Quotient and remainder for the single divisor p under grevlex,
-        on packed exponents and Q(i) coefficients."""
+        fraction-free on the stores' Gaussian-integer numerators.
+
+        With L the leading numerator of p, p = (L/D_p) P/M for the
+        Gaussian-integer P = p_num conj(L)/g and the integer
+        M = |L|^2/g (g the gcd of |L|^2 and P's entries), so P/M is monic.
+        A work entry [k, a, b] stands for (a + b i)/(D_f M^k): a quotient
+        coefficient by P/M is the entry itself, and an update brings the
+        lower of two levels k up by a power of M, with no gcd in the loop.
+        q and r are brought to one level and normalised once each, q with
+        the factor D_p conj(L)/|L|^2 that divides by L/D_p.
+        """
         self._check(p)
         if p.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -338,27 +368,57 @@ class MultiPoly:
         # the leading monomial of p does not divide x^e
         guards = sum(EXPONENT_BOUND << FIELD_BITS * i for i in range(n))
         pe = max(p._num, key=key)
-        pc = _qi(*p._num[pe], p._den)
-        # the other terms of p, by their exponent's offset from pe
-        rest = [(e - pe, _qi(a, b, p._den)) for e, (a, b) in p._num.items() if e != pe]
+        la, lb = p._num[pe]
+        norm = la * la + lb * lb
+        # the other terms of P, by their exponent's offset from pe
+        rest = [
+            (e - pe, a * la + b * lb, b * la - a * lb)
+            for e, (a, b) in p._num.items()
+            if e != pe
+        ]
+        g = gcd(norm, *[x for _, u, v in rest for x in (u, v)])
+        M = norm // g
+        rest = [(off, u // g, v // g) for off, u, v in rest]
+        powers = [1]  # powers[k] is M^k
         q = {}
         r = {}
-        work = {e: _qi(a, b, self._den) for e, (a, b) in self._num.items()}
+        work = {e: [0, a, b] for e, (a, b) in self._num.items()}
         while work:
             e = max(work, key=key)
-            c = work.pop(e)
+            t = work.pop(e)
             if (e - pe) & guards:
-                r[e] = c
+                r[e] = t
                 continue
-            f = c / pc
-            q[e - pe] = f
-            for off, c2 in rest:
-                nc = work.get(e + off, QI_ZERO) - f * c2
-                if nc:
-                    work[e + off] = nc
+            q[e - pe] = t
+            k, a, b = t
+            k += 1
+            if k == len(powers):
+                powers.append(powers[-1] * M)
+            # work[e + off] -= (a + b i) (u + v i)/(D_f M^k)
+            for off, u, v in rest:
+                x, y = b * v - a * u, -a * v - b * u
+                s = work.get(e + off)
+                if s is None:
+                    work[e + off] = [k, x, y]
+                    continue
+                j = s[0]
+                if j < k:
+                    m = powers[k - j]
+                    x, y, j = s[1] * m + x, s[2] * m + y, k
+                elif j > k:
+                    m = powers[j - k]
+                    x, y = s[1] + x * m, s[2] + y * m
                 else:
-                    work.pop(e + off, None)
-        return _from_terms(n, q), _from_terms(n, r)
+                    x, y = s[1] + x, s[2] + y
+                if x or y:
+                    work[e + off] = [j, x, y]
+                else:
+                    del work[e + off]
+        D = self._den
+        return (
+            _level(n, q, D * norm, powers, (p._den * la, -p._den * lb)),
+            _level(n, r, D, powers, (1, 0)),
+        )
 
     # -- rendering
 
@@ -433,12 +493,17 @@ class MultiPoly:
         return f"MultiPoly({self.num_vars}, {self.render()})"
 
 
-def _from_terms(num_vars, terms, p=None):
-    """MultiPoly from packed exponents and Q(i) coefficients, over their
-    least common denominator; stored in p when it is given."""
-    D = lcm(*[c._d for c in terms.values()])
-    acc = {e: [c._a * (D // c._d), c._b * (D // c._d)] for e, c in terms.items()}
-    return _normal(num_vars, D, acc, p)
+def _level(num_vars, terms, D, powers, scale):
+    """MultiPoly with coefficient (a + b i) z/(D M^k) at e, from
+    {e: [k, a, b]}, the scale z = (x, y) and powers[k] = M^k: brought to
+    the top level K with numerators (a + b i) z M^(K - k) over D M^K."""
+    K = max([t[0] for t in terms.values()], default=0)
+    x, y = scale
+    acc = {}
+    for e, (k, a, b) in terms.items():
+        m = powers[K - k]
+        acc[e] = [(a * x - b * y) * m, (a * y + b * x) * m]
+    return _normal(num_vars, D * powers[K], acc)
 
 
 def _normal(num_vars, D, acc, p=None):
@@ -446,7 +511,8 @@ def _normal(num_vars, D, acc, p=None):
     zero terms dropped and the content removed by one gcd; stored in p
     when it is given."""
     acc = {e: t for e, t in acc.items() if t[0] or t[1]}
-    g = gcd(D, *[x for t in acc.values() for x in t])
+    # the gcd divides D, so over D = 1 there is nothing to remove
+    g = gcd(D, *[x for t in acc.values() for x in t]) if D > 1 else 1
     if g > 1:
         D //= g
         acc = {e: [a // g, b // g] for e, (a, b) in acc.items()}
@@ -473,18 +539,24 @@ def _binomial_row(z, d, k, unit):
     return row
 
 
-def linear_combination(num_vars, pairs):
+def linear_combination(num_vars, pairs, cap=None):
     """sum a * p over the pairs (a, p) of a MultiPoly p and a first factor
     a that is a MultiPoly, a Q(i) scalar or the integer triple (x, y, d)
-    of the scalar (x + y i)/d.
+    of the scalar (x + y i)/d; with `cap`, only its terms of degree at
+    most cap.
 
     The one accumulation kernel: every product is added up on the
     Gaussian-integer numerators over one common denominator, with one int
-    addition per exponent, and the sum is normalised once. Two polynomial
-    factors whose degrees add up to `EXPONENT_BOUND` are refused with a
-    ValueError, before any exponent field could carry.
+    addition per exponent, and the sum is normalised once. With a cap,
+    the terms of p are filtered for each term of a whose product with
+    p's top-degree term passes it, by one int comparison each, the
+    degree being the top field of a packed exponent. Two polynomial factors whose degrees add up to
+    `EXPONENT_BOUND` are refused with a ValueError, before any exponent
+    field could carry.
     """
     top = FIELD_BITS * num_vars
+    # the packed exponents of degree above cap are those at or above cut
+    cut = None if cap is None else cap + 1 << top
     forms = []
     D = 1
     for a, p in pairs:
@@ -499,14 +571,16 @@ def linear_combination(num_vars, pairs):
             ta = ((0, (x, y)),) if x or y else ()
         if ta and tp:
             d = da * p._den
-            forms.append((ta, d, tp.items()))
+            # with a cap, p's top-degree term bounds the products of a row
+            forms.append((ta, d, tp.items(), None if cut is None else max(tp)))
             D = lcm(D, d)
     acc = {}
-    for ta, d, tp in forms:
+    for ta, d, tp, last in forms:
         s = D // d
         for e1, (x, y) in ta:
             x, y = x * s, y * s
-            for e2, (u, v) in tp:
+            safe = last is None or e1 + last < cut
+            for e2, (u, v) in tp if safe else [t for t in tp if e1 + t[0] < cut]:
                 e = e1 + e2
                 t = acc.get(e)
                 if t is None:

@@ -4,19 +4,19 @@ Covers the decomposition of invariant fields over the chart gradients,
 ideal stability and Cramer lifting of derivations given by generator
 images, the transition matrix between a global chart and a local one,
 and jets: a jet of order N at a base point a is one polynomial of
-degree at most N in u = x - a, with products, inverses and the
-gradient action truncated by degree.
+degree at most N in u = x - a. A jet, a product and the gradient action
+are each one capped kernel call (`MultiPoly.shift` or
+`linear_combination` with `cap`), which builds no term above the order;
+the inverse keeps its graded recurrence.
 """
 
 from collections import namedtuple
 
 from .exactalg import (
-    FIELD_BITS,
     CertificationError,
     GaussianRational,
     MultiPoly,
     QI_ONE,
-    _normal,
     linear_combination,
     mat_det,
     mat_transpose,
@@ -289,20 +289,11 @@ class Jet:
         )
 
 
-def _truncate(p, N):
-    """The terms of p of total degree at most N."""
-    if p.degree() <= N:
-        return p
-    # the degree is the top field, so these are the packed exponents below
-    # that of degree N + 1
-    cut = N + 1 << FIELD_BITS * p.num_vars
-    return _normal(p.num_vars, p._den, {e: t for e, t in p._num.items() if e < cut})
-
-
 def jet_of(f, a_point, N):
-    """Exact re-expansion of f around a_point, truncated at order N."""
+    """Exact re-expansion of f around a_point, truncated at order N: one
+    shift that expands only the parts of degree at most N."""
     pt = [Qi._coerce(x) for x in a_point]
-    return Jet(pt, N, _truncate(f.shift(pt), N))
+    return Jet(pt, N, f.shift(pt, N))
 
 
 def jet_unit(a_point, N, num_vars):
@@ -317,14 +308,10 @@ def _check_compatible(J1, J2):
 
 
 def jet_mul(J1, J2):
-    """Truncated product: one sum over the pairs of homogeneous parts
-    whose degrees add up to at most the truncation order."""
+    """Truncated product: one product capped at the truncation order."""
     _check_compatible(J1, J2)
     N = J1.truncation_order
-    a = J1.poly.homogeneous_components()
-    b = J2.poly.homogeneous_components()
-    pairs = [(p, q) for i, p in a.items() for j, q in b.items() if i + j <= N]
-    return Jet(J1.base_point, N, linear_combination(J1.poly.num_vars, pairs))
+    return Jet(J1.base_point, N, linear_combination(J1.poly.num_vars, ((J1.poly, J2.poly),), N))
 
 
 def jet_invert(J):
@@ -367,7 +354,9 @@ def jet_gradient_action(R, J, kappa, kappa_inverse=None):
     if n_out < 0:
         raise ValueError("truncation order too small for the action")
     grad = gradient(Ru, kappa, kappa_inverse)
-    return Jet(J.base_point, n_out, _truncate(grad.apply_to(J.poly), n_out))
+    # the field action `apply_to`, as one sum capped at the output order
+    pairs = [(c, J.poly.partial(i)) for i, c in enumerate(grad.components)]
+    return Jet(J.base_point, n_out, linear_combination(J.poly.num_vars, pairs, n_out))
 
 
 def default_truncation(chart):

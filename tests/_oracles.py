@@ -141,6 +141,53 @@ def rand_poly(rng, nvars, max_deg, max_terms=6, complex_ok=True):
     return MultiPoly(nvars, terms)
 
 
+def divmod_by_qi(f, p):
+    """Quotient and remainder of f by the single divisor p under grevlex,
+    by long division on Q(i) scalars: one scalar division, product and
+    difference per divisor term and step, each in lowest terms."""
+    n = f.num_vars
+    key = exactalg._order(n)
+    guards = sum(exactalg.EXPONENT_BOUND << exactalg.FIELD_BITS * i for i in range(n))
+    divisor = {exactalg._pack(e): c for e, c in p.terms.items()}
+    pe = max(divisor, key=key)
+    pc = divisor.pop(pe)
+    q, r = {}, {}
+    work = {exactalg._pack(e): c for e, c in f.terms.items()}
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        if (e - pe) & guards:
+            r[e] = c
+            continue
+        c = c / pc
+        q[e - pe] = c
+        for e2, c2 in divisor.items():
+            x = e + e2 - pe
+            nc = work.get(x, Qi(0)) - c * c2
+            if nc:
+                work[x] = nc
+            else:
+                work.pop(x, None)
+    return tuple(
+        MultiPoly(n, {exactalg._unpack(e, n): c for e, c in t.items()}) for t in (q, r)
+    )
+
+
+def jet_mul_by_pairs(J1, J2):
+    """Truncated jet product as one sum over the pairs of homogeneous
+    parts whose degrees add up to at most the truncation order."""
+    N = J1.truncation_order
+    a = J1.poly.homogeneous_components()
+    b = J2.poly.homogeneous_components()
+    pairs = [(p, q) for i, p in a.items() for j, q in b.items() if i + j <= N]
+    return type(J1)(J1.base_point, N, exactalg.linear_combination(J1.poly.num_vars, pairs))
+
+
+def truncated(p, N):
+    """The terms of p of total degree at most N."""
+    return MultiPoly(p.num_vars, {e: c for e, c in p.terms.items() if sum(e) <= N})
+
+
 def monomial_count(nvars, deg):
     # compositions of deg into nvars parts
     from math import comb

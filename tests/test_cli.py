@@ -13,6 +13,7 @@ modules.
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -308,6 +309,26 @@ def test_verify_expands_each_jet_once(capsys, monkeypatch):
     code, _ = run(["verify", "--pair", "sl3-so21"], capsys)
     assert code == 0
     assert expanded and max(expanded.values()) == 1
+
+
+def test_random_poly_draws_the_samples_of_the_term_dict_sampler():
+    # the sampler as it was: the same draws into a dict of Q(i) terms,
+    # then one MultiPoly; a repeated exponent keeps its last draw
+    def by_terms(rng, nvars, max_deg):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, max_deg)):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = Qi(rng.randint(-4, 4), rng.randint(-2, 2))
+        return MultiPoly(nvars, terms)
+
+    for n in (1, 2, 3):
+        new, old = random.Random(f"draws:{n}"), random.Random(f"draws:{n}")
+        for k in range(1200):
+            got, want = cli._random_poly(new, n, k % 9), by_terms(old, n, k % 9)
+            assert (got._den, list(got._num.items())) == (want._den, list(want._num.items()))
+        assert new.getstate() == old.getstate()
 
 
 def test_unknown_pair_is_input_error(capsys):

@@ -29,7 +29,6 @@ from symcart.exactalg import (
 )
 from symcart.invariants import build_chart
 from symcart.liesym import catalog_pair, load_pair
-from symcart.vecfields import _truncate
 
 Qi = GaussianRational
 
@@ -108,7 +107,8 @@ def test_construction_and_verify_build_no_fraction(monkeypatch, capsys):
 
 def test_store_arithmetic_builds_no_gaussian_rational(monkeypatch):
     # polynomials whose terms were never read are multiplied, added,
-    # shifted, truncated and moved by the group on the integer store alone
+    # shifted (in full and capped), moved by the group and divided on the
+    # integer store alone
     weyl = build_chart(catalog_pair("sl3-so21")).weyl
     f = MultiPoly.parse("(3/2 + 1i)*x0^2*x1 - 2/3*x1^3 + 1/2*x0 + 5", 2)
     g = MultiPoly.parse("x0^2 - 1/3*x1^2", 2)
@@ -118,11 +118,15 @@ def test_store_arithmetic_builds_no_gaussian_rational(monkeypatch):
     h = (f * g + f - g) * f
     moved = [weyl.act(i, h) for i in range(weyl.order)]
     shifted = h.shift(point)
-    jet = _truncate(shifted, 3)
+    jet = h.shift(point, 3)
+    q, r = h.divmod_by(f)
+    q2, r2 = (h + g).divmod_by(f)
     monkeypatch.undo()
     assert made == [] and inits == []
-    touched = [f, g, h, shifted, jet, *moved]
+    touched = [f, g, h, shifted, jet, q, r, q2, r2, *moved]
     assert all(p._terms is None for p in touched)
+    assert r.is_zero() and q == f * g + f - g
+    assert not r2.is_zero() and q2 * f + r2 == h + g
     assert moved == [h.compose_linear(w) for w in weyl.elements]
     assert shifted == h.compose(
         [MultiPoly.variable(2, i) + MultiPoly.constant(2, x) for i, x in enumerate(point)]

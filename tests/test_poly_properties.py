@@ -32,8 +32,11 @@ from hypothesis import strategies as st
 from _oracles import (
     dense_dot,
     dense_mat_mul,
+    divmod_by_qi,
     gaussian_divisors_by_norms,
+    jet_mul_by_pairs,
     render_scalar_by_fractions,
+    truncated,
 )
 from symcart.exactalg import GaussianRational as Qi
 from symcart.exactalg import (
@@ -432,6 +435,61 @@ def test_divmod_reassembles_its_input(fp):
         assert not all(a >= b for a, b in zip(e, lead))
 
 
+@st.composite
+def _divisor_polys(draw, n):
+    """A polynomial, a constant or a monomial times a wide scalar, so that
+    its leading coefficient is as a rule complex, not a unit and not an
+    integer."""
+    shape = draw(st.sampled_from(["poly", "constant", "monomial"]))
+    if shape == "poly":
+        p = draw(_polys(n))
+    else:
+        e = draw(st.tuples(*[st.integers(0, 3) if shape == "monomial" else st.just(0)] * n))
+        p = MultiPoly(n, {e: draw(_scalars)})
+    p = p * draw(_wide)
+    assume(not p.is_zero())
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.tuples(
+            _polys(n), _polys(n), _divisor_polys(n), st.sampled_from(["any", "exact", "inexact"])
+        )
+    )
+)
+def test_fraction_free_divmod_matches_the_qi_long_division(case):
+    f, g, p, kind = case
+    if kind == "exact":
+        f = f * p
+    elif kind == "inexact":
+        f = f * p + g
+    q, r = f.divmod_by(p)
+    q0, r0 = divmod_by_qi(f, p)
+    assert _store(q) == _store(q0) and _store(r) == _store(r0)
+    if kind == "exact":
+        assert r.is_zero()
+
+
+def test_fraction_free_divmod_with_a_complex_non_unit_lead():
+    # the lead (2 + 3i)/5 makes M = 13, so the work entries climb levels
+    p = MultiPoly.parse("(2/5 + 3/5i)*x0^2 + 1/3*x0*x1 - (1 - 1/2i)*x1 + 7/4", 2)
+    g = MultiPoly.parse("(1 + 1i)*x0^3*x1 - 2*x1^2 + 1/6*x0 - 3i", 2)
+    rem = MultiPoly.parse("1/7*x1 + 2i", 2)
+    for f in (g * p, g * p + rem, g):
+        q, r = f.divmod_by(p)
+        assert (q, r) == divmod_by_qi(f, p)
+        assert q * p + r == f
+    assert (g * p + rem).divmod_by(p) == (g, rem)
+    # x0*x1, still at level 0, updates x1, which the chain from x0^3*x1^2
+    # has already raised to a higher level
+    f = MultiPoly.parse("(3 + 1i)*x0^3*x1^2 + 3*x0*x1", 2)
+    p = MultiPoly.parse("(-3 - 2i)*x0*x1 + (-1 - 2i)*x0 + (1 + 1i)", 2)
+    q, r = f.divmod_by(p)
+    assert (q, r) == divmod_by_qi(f, p) and q * p + r == f
+
+
 _root_parts = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 _roots = st.builds(Qi, _root_parts, _root_parts)
 _x = MultiPoly.variable(1, 0)
@@ -484,6 +542,41 @@ def test_linear_combination_matches_termwise_sum(case):
     assert fused == _naive_sum(n, pairs)
     for c in fused.terms.values():
         assert c and c._d > 0 and gcd(c._a, c._b, c._d) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_num_vars.flatmap(lambda n: st.tuples(st.just(n), _pairs(n), st.integers(-1, 14))))
+def test_capped_linear_combination_is_the_truncated_sum(case):
+    n, pairs, cap = case
+    full = linear_combination(n, pairs)
+    top = full.degree()
+    for c in (cap, top - 1, top, top + 1):
+        assert _store(linear_combination(n, pairs, c)) == _store(truncated(full, c))
+    # at cap -1 the cut is the constant term's packed exponent, 0
+    one = MultiPoly.one(n)
+    assert linear_combination(n, [(one, one)], -1).is_zero()
+    assert one.shift([Qi(1)] * n, -1).is_zero() and one.shift([Qi(0)] * n, -1).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _num_vars.flatmap(
+        lambda n: st.tuples(
+            _polys(n),
+            st.lists(_wide | st.just(Qi(0)), min_size=n, max_size=n),
+            st.integers(-1, 10),
+        )
+    )
+)
+def test_capped_shift_is_the_truncated_shift(case):
+    f, a, cap = case
+    n = f.num_vars
+    full = f.shift(a)
+    top = f.degree()
+    for c in (cap, top - 1, top, top + 1):
+        assert _store(f.shift(a, c)) == _store(truncated(full, c))
+        # the zero point returns f itself, and honours the cap too
+        assert _store(f.shift([Qi(0)] * n, c)) == _store(truncated(f, c))
 
 
 @settings(max_examples=100, deadline=None)
@@ -551,6 +644,7 @@ def _old_jet_invert(J):
 def test_jet_products_match_the_accumulation_loops(case):
     f, g, base, N = case
     Jf, Jg = jet_of(f, base, N), jet_of(g, base, N)
+    assert jet_mul(Jf, Jg) == jet_mul_by_pairs(Jf, Jg)
     assert _slots(jet_mul(Jf, Jg)) == _old_jet_mul(Jf, Jg)
     assume(not f.evaluate(base).is_zero())
     assert _slots(jet_invert(Jf)) == _old_jet_invert(Jf)
